@@ -9,6 +9,7 @@ call, so every artifact is reproducible from its parameters.
 
 import csv
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -21,6 +22,7 @@ from .summary import (
     SummaryDag,
     additional_edges,
     canonical,
+    canonical_edge_count,
     contract,
     ground_ci,
     summary_recursive_basis,
@@ -89,34 +91,17 @@ def _is_acyclic(nodes, edges):
     return seen == len(indegree)
 
 
-def _summary_from_partition(g, order, blocks):
-    position = {v: i for i, v in enumerate(order)}
-    labels = {}
-    mapping = {}
-    for block in blocks:
-        label = "".join(sorted(block, key=position.get))
-        labels[label] = frozenset(block)
-        for v in block:
-            mapping[v] = label
-    edges = set()
-    for u, v in g.edges:
-        cu, cv = mapping[u], mapping[v]
-        if cu != cv:
-            edges.add((cu, cv))
-    ordered = sorted(labels, key=lambda lbl: min(position[v] for v in labels[lbl]))
-    quotient = Dag(ordered, sorted(edges))
-    return SummaryDag(g, quotient, mapping, order)
-
-
 def brute_force_summarize(g, k):
     """The exact baseline: best summary over all partitions into <= k blocks.
 
     Enumerates set partitions as restricted-growth strings over the nodes
     in topological order, pruning prefixes whose induced quotient is
     already cyclic, and keeps a partition minimizing the canonical DAG's
-    additional edges. Ties go to the lexicographically smallest partition
-    signature, so the result is deterministic. Exponential: guarded to 10
-    nodes.
+    additional edges, counted in closed form from the block sizes and
+    block edges (``canonical_edge_count``). Ties go to the
+    lexicographically smallest partition signature, so the result is
+    deterministic. Only the winner is built as a summary. Exponential:
+    guarded to 10 nodes.
     """
     if g.num_nodes > 10:
         raise SizeLimitError(
@@ -127,32 +112,30 @@ def brute_force_summarize(g, k):
 
     order = topological_order(g)
     n = len(order)
-    best = None  # (additional_edges, signature, blocks)
+    best = None  # (additional_edges, signature, assignment, block edges)
 
-    def quotient_is_acyclic(assignment):
-        prefix = order[: len(assignment)]
-        block_of = dict(zip(prefix, assignment))
-        nodes = set(assignment)
+    def block_edges(assignment):
+        block_of = dict(zip(order, assignment))
         edges = set()
         for u, v in g.edges:
             if u in block_of and v in block_of and block_of[u] != block_of[v]:
                 edges.add((block_of[u], block_of[v]))
-        return _is_acyclic(nodes, edges)
+        return edges
 
     def extend(assignment, nblocks):
         nonlocal best
-        if not quotient_is_acyclic(assignment):
+        edges = block_edges(assignment)
+        if not _is_acyclic(set(assignment), edges):
             return
         i = len(assignment)
         if i == n:
             blocks = [[] for _ in range(nblocks)]
             for v, b in zip(order, assignment):
                 blocks[b].append(v)
-            h = _summary_from_partition(g, order, blocks)
-            score = additional_edges(h)
+            score = canonical_edge_count(Counter(assignment), edges) - g.num_edges
             signature = tuple(tuple(block) for block in blocks)
             if best is None or (score, signature) < (best[0], best[1]):
-                best = (score, signature, h)
+                best = (score, signature, assignment, edges)
             return
         # restricted growth: reuse any existing block, or open block
         # nblocks (only while the block budget allows)
@@ -162,7 +145,8 @@ def brute_force_summarize(g, k):
             extend(assignment + [nblocks], nblocks + 1)
 
     extend([], 0)
-    return best[2]
+    _, _, assignment, edges = best
+    return SummaryDag.from_partition(g, order, dict(zip(order, assignment)), edges)
 
 
 def random_summarize(g, k, seed=0):

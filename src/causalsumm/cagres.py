@@ -48,6 +48,8 @@ class SimilarityMatrix:
             raise ValidationError(
                 f"similarity matrix must be {n}x{n}, got {self.values.shape}"
             )
+        if np.isnan(self.values).any():
+            raise ValidationError("similarity matrix contains NaN")
         if not np.allclose(self.values, self.values.T):
             raise ValidationError("similarity matrix must be symmetric")
         if not np.allclose(np.diag(self.values), 1.0):

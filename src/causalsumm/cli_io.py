@@ -71,18 +71,21 @@ def _require(condition, message):
         raise ParseError(message)
 
 
-def _dag_from_doc(doc):
-    _require(isinstance(doc, dict), "graph document must be an object")
-    _require(doc.get("version") == FORMAT_VERSION, "unsupported document version")
-    nodes = doc.get("nodes")
-    edges = doc.get("edges", [])
-    _require(isinstance(nodes, list), "graph document needs a 'nodes' list")
-    _require(isinstance(edges, list), "graph document needs an 'edges' list")
+def _edge_pairs(edges, what):
+    _require(isinstance(edges, list), f"{what} needs an 'edges' list")
     for e in edges:
         _require(
             isinstance(e, list) and len(e) == 2, f"edge must be a [tail, head] pair: {e}"
         )
-    return Dag(nodes, [tuple(e) for e in edges])
+    return [tuple(e) for e in edges]
+
+
+def _dag_from_doc(doc):
+    _require(isinstance(doc, dict), "graph document must be an object")
+    _require(doc.get("version") == FORMAT_VERSION, "unsupported document version")
+    nodes = doc.get("nodes")
+    _require(isinstance(nodes, list), "graph document needs a 'nodes' list")
+    return Dag(nodes, _edge_pairs(doc.get("edges", []), "graph document"))
 
 
 def _dag_to_doc(g):
@@ -211,6 +214,8 @@ def load_summary(path):
     for key in ("base", "base_order", "clusters", "edges"):
         _require(key in doc, f"summary document needs {key!r}")
     base = _dag_from_doc(doc["base"])
+    _require(isinstance(doc["base_order"], list), "'base_order' must be a list")
+    edges = _edge_pairs(doc["edges"], "summary document")
     clusters = doc["clusters"]
     _require(isinstance(clusters, dict), "'clusters' must map label -> members")
     mapping = {}
@@ -219,7 +224,7 @@ def load_summary(path):
         for v in members:
             _require(v not in mapping, f"node {v!r} appears in two clusters")
             mapping[v] = label
-    quotient = Dag(list(clusters), [tuple(e) for e in doc["edges"]])
+    quotient = Dag(list(clusters), edges)
     return SummaryDag(
         base,
         quotient,

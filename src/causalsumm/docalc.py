@@ -9,7 +9,7 @@ clusters: do(X) for a cluster X means intervening on all its members.
 
 from dataclasses import dataclass, field
 
-from .graph_core import Dag, UnknownNodeError, ValidationError
+from .graph_core import UnknownNodeError, ValidationError
 from .separation import SeparationQuery, s_separated
 from .summary import mutilate_summary
 
@@ -84,44 +84,18 @@ def rule_applies(h, rule, q, zw_in_hbar=True):
 def adjustment_set(h, t, o):
     """A backdoor adjustment set for the effect of ``t`` on ``o``.
 
-    Rebuilds the canonical causal DAG with ``t`` ordered before its
-    cluster-mates, making t's parents exactly the grounding of its
-    cluster's quotient parents; those parents block every backdoor path
-    in every DAG compatible with the summary.
+    Returns the members of the quotient parents of t's cluster, which are
+    t's parents in the canonical causal DAG rebuilt with ``t`` first among
+    its cluster-mates. In every DAG compatible with the summary this set
+    holds every parent of t's cluster from outside it and no descendant of
+    it, so it satisfies the backdoor criterion for intervening on the
+    whole cluster. For ``t`` alone in a multi-member cluster it can miss a
+    backdoor path through a cluster-mate. ``o`` is only validated.
     """
     for v in (t, o):
         if v not in h.base.node_set:
             raise UnknownNodeError(v)
     if t == o:
         raise ValidationError("treatment and outcome must differ")
-    reordered = _reordered_canonical(h, t)
-    return frozenset(reordered.parents(t))
-
-
-def _reordered_canonical(h, t):
-    """Canonical DAG under a base order that puts ``t`` first in its cluster.
-
-    Built from the quotient groundings and within-cluster order edges only;
-    base edges are not copied, since a base edge into ``t`` from a
-    cluster-mate would contradict the reordering.
-    """
-    mates = h.members(h.cluster_of(t)) - {t}
-    if mates:
-        rest = [v for v in h.base_order if v != t]
-        at = min(rest.index(v) for v in mates)
-        order = tuple(rest[:at]) + (t,) + tuple(rest[at:])
-    else:
-        order = h.base_order
-    position = {v: i for i, v in enumerate(order)}
-
-    edges = set()
-    for cu, cv in h.quotient.edges:
-        for u in h.members(cu):
-            for v in h.members(cv):
-                edges.add((u, v))
-    for members in h.clusters.values():
-        ordered = sorted(members, key=position.get)
-        for i, u in enumerate(ordered):
-            for v in ordered[i + 1 :]:
-                edges.add((u, v))
-    return Dag(order, sorted(edges))
+    parents = h.quotient.parents(h.cluster_of(t))
+    return frozenset().union(*(h.members(c) for c in parents))

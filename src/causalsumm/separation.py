@@ -3,8 +3,10 @@
 ``d_separated`` is the workhorse (linear-time reachability over edge
 orientations). ``d_separated_oracle`` re-decides the same queries by
 brute-force trail enumeration and exists so tests can cross-check the
-fast path against the textbook definition. ``s_separated`` lifts the
-query to a summary DAG by grounding it on the canonical causal DAG.
+fast path against the textbook definition. ``s_separated`` answers a
+query over cluster labels with ``d_separated`` on the summary's quotient
+DAG; its definition, d-separation of the grounded query in the canonical
+causal DAG, is kept as a test oracle.
 """
 
 from collections import deque
@@ -16,7 +18,6 @@ from .graph_core import (
     UnknownNodeError,
     ValidationError,
 )
-from .summary import canonical
 
 
 @dataclass(frozen=True)
@@ -164,19 +165,16 @@ def d_separated_oracle(g, query):
 def s_separated(h, query):
     """Decide the query over a summary DAG (all members are cluster labels).
 
-    Per the summary-graph separation criterion this holds exactly when the
-    grounded query is d-separated in the canonical causal DAG of ``h`` —
-    sound and complete for the CIs guaranteed by every DAG the summary
-    could have come from.
+    By definition the query holds when its grounding (every label replaced
+    by its members) is d-separated in the canonical causal DAG of ``h``.
+    Computed as d-separation of the labels in the quotient instead, which
+    decides the same thing: the canonical DAG grounds each quotient edge to
+    all member pairs and orders each cluster totally, so a query naming
+    only whole clusters is d-separated there exactly when it is in the
+    quotient (d-separation in cluster DAGs; Anand et al., "Causal Effect
+    Identification in Cluster DAGs", AAAI 2023). This also holds for
+    mutilated summaries, whose canonical DAG is built from the quotient
+    alone. Like the definition, the answer is sound and complete for the
+    CIs guaranteed by every DAG the summary could have come from.
     """
-    for label in query.members():
-        if label not in h.quotient.node_set:
-            raise UnknownNodeError(label)
-    grounded = SeparationQuery(
-        x=frozenset().union(*(h.members(c) for c in query.x)),
-        y=frozenset().union(*(h.members(c) for c in query.y)),
-        z=frozenset().union(*(h.members(c) for c in query.z))
-        if query.z
-        else frozenset(),
-    )
-    return d_separated(canonical(h), grounded)
+    return d_separated(h.quotient, query)

@@ -2,10 +2,11 @@
 
 A summary DAG groups the nodes of a causal DAG ("the base") into clusters
 and keeps a quotient DAG over cluster labels. This module provides the
-operations the rest of the package builds on: node contraction (with the
-directed-path-of-length-≥-2 cycle guard), compatibility checking, the
-canonical causal DAG a summary stands for, recursive-basis extraction,
-and the edge-mutilation operators used by interventional queries.
+operations the rest of the package builds on: building a summary from a
+partition, node contraction (with the directed-path-of-length-≥-2 cycle
+guard), compatibility checking, the canonical causal DAG a summary stands
+for, recursive-basis extraction, and the edge-mutilation operators used
+by interventional queries.
 
 Everything here is a pure function over immutable values; summaries are
 never modified in place.
@@ -185,10 +186,38 @@ class SummaryDag:
         flag = ", mutilated" if self.mutilated else ""
         return f"SummaryDag(clusters=[{parts}]{flag})"
 
+    @classmethod
+    def from_partition(cls, base, base_order, block_of, block_edges, mutilated=False):
+        """The summary of ``base`` whose clusters are the blocks of a partition.
 
-def _ordered_labels(clusters, position):
-    """Cluster labels sorted by the earliest member in base order."""
-    return sorted(clusters, key=lambda lbl: min(position[v] for v in clusters[lbl]))
+        ``block_of`` maps every base node to a block id and ``block_edges``
+        holds (block, block) quotient edges between distinct blocks. Each
+        cluster is labeled by its members concatenated in base order, and
+        the quotient lists clusters by their earliest member. Raises
+        ``CycleError`` when the block edges are cyclic.
+
+        >>> g = Dag("ABC", [("A", "B"), ("B", "C")])
+        >>> h = SummaryDag.from_partition(g, "ABC", {"A": 0, "B": 1, "C": 1}, [(0, 1)])
+        >>> h.quotient.nodes, sorted(h.quotient.edges)
+        (('A', 'BC'), [('A', 'BC')])
+        """
+        members = {}
+        for v in base_order:
+            members.setdefault(block_of[v], []).append(v)
+        labels, seen = {}, set()
+        for block, vs in members.items():
+            label = "".join(vs)
+            if label in seen:
+                raise ValidationError(
+                    f"merged label {label!r} collides with an existing cluster"
+                )
+            seen.add(label)
+            labels[block] = label
+        quotient = Dag(
+            labels.values(), sorted((labels[a], labels[b]) for a, b in block_edges)
+        )
+        mapping = {v: labels[block] for v, block in block_of.items()}
+        return cls(base, quotient, mapping, base_order, mutilated=mutilated)
 
 
 def trivial_summary(g):
@@ -198,18 +227,19 @@ def trivial_summary(g):
     >>> h.quotient == h.base
     True
     """
-    order = topological_order(g)
-    quotient = Dag(order, sorted(g.edges))
-    return SummaryDag(g, quotient, {v: v for v in g.nodes}, order)
+    return SummaryDag.from_partition(
+        g, topological_order(g), {v: v for v in g.nodes}, g.edges
+    )
 
 
 def contract(h, a, b):
     """Merge clusters ``a`` and ``b`` of a summary into one.
 
-    The merged cluster's label is the concatenation of its member labels in
-    base order. Raises ``CycleError`` exactly when the quotient has a
-    directed path of at least two edges between ``a`` and ``b`` (in either
-    direction) — the contracted graph would then contain a directed cycle.
+    Every cluster of the result, the merged one included, is labeled by its
+    members concatenated in base order (see ``SummaryDag.from_partition``).
+    Raises ``CycleError`` exactly when the quotient has a directed path of
+    at least two edges between ``a`` and ``b`` (in either direction) — the
+    contracted graph would then contain a directed cycle.
 
     >>> g = Dag("ABCDE", [("A","B"), ("A","C"), ("B","D"), ("C","D"), ("D","E")])
     >>> h1 = contract(trivial_summary(g), "B", "C")
@@ -231,28 +261,14 @@ def contract(h, a, b):
             "they are joined by a directed path of length >= 2"
         )
 
-    position = {v: i for i, v in enumerate(h.base_order)}
-    merged_members = h.members(a) | h.members(b)
-    merged = "".join(sorted(merged_members, key=position.get))
+    def block(label):
+        return a if label == b else label
 
-    relabel = {a: merged, b: merged}
-    mapping = {
-        v: relabel.get(label, label) for v, label in h.mapping.items()
-    }
-    clusters = {label: vs for label, vs in h.clusters.items() if label not in (a, b)}
-    if merged in clusters:
-        raise ValidationError(
-            f"merged label {merged!r} collides with an existing cluster"
-        )
-    clusters[merged] = merged_members
-
-    edges = set()
-    for u, v in h.quotient.edges:
-        cu, cv = relabel.get(u, u), relabel.get(v, v)
-        if cu != cv:
-            edges.add((cu, cv))
-    quotient = Dag(_ordered_labels(clusters, position), sorted(edges))
-    return SummaryDag(h.base, quotient, mapping, h.base_order, mutilated=h.mutilated)
+    block_of = {v: block(label) for v, label in h.mapping.items()}
+    edges = {(block(u), block(v)) for u, v in h.quotient.edges} - {(a, a)}
+    return SummaryDag.from_partition(
+        h.base, h.base_order, block_of, edges, mutilated=h.mutilated
+    )
 
 
 def is_compatible(g, h):
@@ -302,9 +318,25 @@ def canonical(h):
     return Dag(h.base_order, sorted(edges))
 
 
+def canonical_edge_count(sizes, edges):
+    """How many edges the canonical DAG of a partition has, without building it.
+
+    ``sizes`` maps each cluster to its member count and ``edges`` lists the
+    quotient edges. Every quotient edge grounds to |a|·|b| edges and every
+    cluster to |c|(|c|-1)/2 order edges; the two sets are disjoint, and
+    every base edge of an unmutilated summary already lies in one of them.
+    """
+    grounded = sum(sizes[a] * sizes[b] for a, b in edges)
+    return grounded + sum(s * (s - 1) // 2 for s in sizes.values())
+
+
 def additional_edges(h):
-    """How many edges ``canonical(h)`` has beyond the base DAG."""
-    return canonical(h).num_edges - h.base.num_edges
+    """How many edges ``canonical(h)`` has beyond the base DAG.
+
+    Negative when a mutilated summary's quotient drops base edges.
+    """
+    sizes = {label: len(vs) for label, vs in h.clusters.items()}
+    return canonical_edge_count(sizes, h.quotient.edges) - h.base.num_edges
 
 
 def recursive_basis(g, order):

@@ -63,6 +63,61 @@ def all_dags(labels):
 
 def canonical_delta(h, a, b):
     """The merge cost defined the slow way: contract, then count new edges."""
-    from causalsumm import additional_edges, contract
+    from causalsumm import canonical, contract
 
-    return additional_edges(contract(h, a, b)) - additional_edges(h)
+    return canonical(contract(h, a, b)).num_edges - canonical(h).num_edges
+
+
+def canonical_s_separated(h, query):
+    """s-separation by its definition: ground the labels, then d-separate
+    in the materialised canonical causal DAG."""
+    from causalsumm import SeparationQuery, canonical, d_separated
+
+    def ground(labels):
+        return frozenset().union(*(h.members(c) for c in labels))
+
+    grounded = SeparationQuery(ground(query.x), ground(query.y), ground(query.z))
+    return d_separated(canonical(h), grounded)
+
+
+def reordered_canonical(h, t):
+    """Canonical DAG under a base order that puts ``t`` first in its cluster.
+
+    Built from the quotient groundings and within-cluster order edges only;
+    base edges are not copied, since a base edge into ``t`` from a
+    cluster-mate would contradict the reordering.
+    """
+    from causalsumm import Dag
+
+    mates = h.members(h.cluster_of(t)) - {t}
+    if mates:
+        rest = [v for v in h.base_order if v != t]
+        at = min(rest.index(v) for v in mates)
+        order = tuple(rest[:at]) + (t,) + tuple(rest[at:])
+    else:
+        order = h.base_order
+    position = {v: i for i, v in enumerate(order)}
+
+    edges = set()
+    for cu, cv in h.quotient.edges:
+        for u in h.members(cu):
+            for v in h.members(cv):
+                edges.add((u, v))
+    for members in h.clusters.values():
+        ordered = sorted(members, key=position.get)
+        for i, u in enumerate(ordered):
+            for v in ordered[i + 1 :]:
+                edges.add((u, v))
+    return Dag(order, sorted(edges))
+
+
+def partition_summary(g, order, blocks):
+    """The summary whose clusters are ``blocks``, with the quotient edges the
+    base edges induce. Raises ``CycleError`` for a cyclic partition."""
+    from causalsumm import SummaryDag
+
+    block_of = {v: i for i, block in enumerate(blocks) for v in block}
+    edges = {
+        (block_of[u], block_of[v]) for u, v in g.edges if block_of[u] != block_of[v]
+    }
+    return SummaryDag.from_partition(g, order, block_of, edges)

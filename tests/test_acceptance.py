@@ -38,9 +38,8 @@ from causalsumm import (
     trivial_summary,
 )
 from causalsumm import fixtures
-from causalsumm.bench import _summary_from_partition
 from causalsumm.cli_io import cli
-from oracles import all_dags, naive_contraction_is_cyclic
+from oracles import all_dags, naive_contraction_is_cyclic, partition_summary
 from test_summary import _random_summary
 
 DENSITIES = (0.2, 0.5, 0.8)
@@ -218,7 +217,7 @@ def test_criterion_08_redshift_end_to_end(criterion, redshift):
             ["CompileTime", "ElapsedTime"],
         ]
         order = topological_order(redshift)
-        reference = additional_edges(_summary_from_partition(redshift, order, blocks))
+        reference = additional_edges(partition_summary(redshift, order, blocks))
         assert reference == 23
         h = summarize(redshift, CagresConfig(k=5))
         assert h.base == redshift

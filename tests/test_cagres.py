@@ -23,6 +23,7 @@ from causalsumm import (
 from causalsumm.cagres import invalidate_neighbors
 from conftest import dags
 from oracles import canonical_delta
+from test_summary import _random_summary
 
 
 def full_similarity(g, overrides=None, threshold=0.8):
@@ -32,6 +33,14 @@ def full_similarity(g, overrides=None, threshold=0.8):
         i, j = labels.index(u), labels.index(v)
         values[i, j] = values[j, i] = s
     return SimilarityMatrix(labels, values, threshold)
+
+
+class TestSimilarityMatrix:
+    def test_nan_has_its_own_message(self):
+        values = np.ones((2, 2))
+        values[0, 1] = np.nan
+        with pytest.raises(ValidationError, match="NaN"):
+            SimilarityMatrix(["A", "B"], values, 0.5)
 
 
 class TestGetCost:
@@ -48,8 +57,6 @@ class TestGetCost:
 
     @given(dags(min_nodes=2, max_nodes=7), st.randoms(use_true_random=False))
     def test_cost_equals_canonical_edge_delta(self, g, rng):
-        from test_summary import _random_summary
-
         h = _random_summary(g, rng)
         labels = sorted(h.quotient.nodes)
         for i, a in enumerate(labels):

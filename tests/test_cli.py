@@ -1,6 +1,8 @@
 import json
-import shutil
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +148,11 @@ class TestSimilarityCsv:
         with pytest.raises(ParseError, match="missing rows"):
             load_similarity(path, threshold=0.3)
 
+    def test_nan_cell_is_named(self, tmp_path):
+        path = self.write(tmp_path, ",A,B\nA,1,nan\nB,0.4,1\n")
+        with pytest.raises(ValidationError, match="NaN"):
+            load_similarity(path, threshold=0.3)
+
 
 class TestCommands:
     def test_gen_then_summarize(self, tmp_path, capsys):
@@ -261,13 +268,35 @@ class TestCliErrors:
         assert cli(["rb", "--in", str(bad)]) == 1
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("edges", [["A", "BC"], "x"]),
+            ("edges", "x"),
+            ("base_order", "ABCDE"),
+        ],
+    )
+    def test_malformed_summary_exits_1(self, h1, tmp_path, capsys, field, value):
+        from causalsumm.cli_io import summary_to_doc
 
-@pytest.mark.skipif(shutil.which("causalsumm") is None, reason="script not installed")
+        doc = summary_to_doc(h1)
+        doc[field] = value
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(doc))
+        code = cli(["query", "--in", str(path), "--mode", "ssep", "--x", "A", "--y", "E"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_console_script(fixtures_dir):
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        ["causalsumm", "rb", "--in", str(fixtures_dir / "g1.json")],
+        [sys.executable, "-m", "causalsumm.cli_io", "rb", "--in", str(fixtures_dir / "g1.json")],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["C | B | A", "D | A | B,C", "E | A,B,C | D"]

@@ -15,9 +15,9 @@ from causalsumm import (
     s_separated,
     trivial_summary,
 )
-from causalsumm.docalc import _reordered_canonical
 from conftest import dags
-from test_summary import _random_summary
+from oracles import reordered_canonical
+from test_summary import _random_mutilation, _random_summary
 
 
 class TestDoQuery:
@@ -127,7 +127,7 @@ class TestAdjustmentSet:
     def test_treatment_comes_first_in_its_cluster(self, h3):
         # C is last in cluster ABC under base order; the reordered
         # canonical DAG must not give it in-cluster parents
-        reordered = _reordered_canonical(h3, "C")
+        reordered = reordered_canonical(h3, "C")
         assert reordered.parents("C") == set()
         assert reordered.has_edge("C", "A") and reordered.has_edge("C", "B")
 
@@ -139,8 +139,17 @@ class TestAdjustmentSet:
         o = rng.choice([v for v in nodes if v != t])
         adj = adjustment_set(h, t, o)
         assert t not in adj
-        reordered = _reordered_canonical(h, t)
+        reordered = reordered_canonical(h, t)
         assert not (adj & (reordered.descendants({t}) - {t}))
+
+    @given(dags(min_nodes=2, max_nodes=7), st.randoms(use_true_random=False))
+    def test_matches_reordered_canonical_parents(self, g, rng):
+        h = _random_summary(g, rng)
+        nodes = sorted(g.node_set)
+        for s in (h, _random_mutilation(h, rng)):
+            for t in nodes:
+                o = rng.choice([v for v in nodes if v != t])
+                assert adjustment_set(s, t, o) == reordered_canonical(s, t).parents(t)
 
     def test_canonical_agreement_for_singleton_clusters(self, g1, h1):
         # when t's cluster is a singleton the reordering is the identity,

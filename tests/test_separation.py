@@ -14,7 +14,8 @@ from causalsumm import (
     trivial_summary,
 )
 from conftest import dags
-from oracles import nx_d_separated
+from oracles import canonical_s_separated, nx_d_separated
+from test_summary import _random_mutilation, _random_summary
 
 
 class TestQueryValidation:
@@ -111,3 +112,14 @@ class TestSSeparation:
         h = trivial_summary(g1)
         query = SeparationQuery({"B"}, {"C"}, {"A"})
         assert s_separated(h, query) == d_separated(g1, query)
+
+    @given(dags(min_nodes=2, max_nodes=7), st.data())
+    def test_quotient_answer_matches_canonical_grounding(self, g, data):
+        rng = data.draw(st.randoms(use_true_random=False), label="rng")
+        h = _random_summary(g, rng)
+        if h.quotient.num_nodes < 2:
+            return
+        for s in (h, _random_mutilation(h, rng)):
+            for _ in range(3):
+                query = _draw_query(data, s.quotient)
+                assert s_separated(s, query) == canonical_s_separated(s, query)

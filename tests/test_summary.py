@@ -123,6 +123,12 @@ class TestCanonical:
         assert is_compatible(canon, h)
         assert is_compatible(g, h)
 
+    @given(dags(min_nodes=1, max_nodes=7), st.randoms(use_true_random=False))
+    def test_additional_edges_counts_the_canonical_dag(self, g, rng):
+        h = _random_summary(g, rng)
+        for s in (h, _random_mutilation(h, rng)):
+            assert additional_edges(s) == canonical(s).num_edges - g.num_edges
+
 
 def _random_summary(g, rng):
     """A random contraction sequence applied to the trivial summary."""
@@ -140,6 +146,14 @@ def _random_summary(g, rng):
             break
         h = contract(h, *rng.choice(pairs))
     return h
+
+
+def _random_mutilation(h, rng):
+    """``mutilate_summary`` of ``h`` on random, possibly empty, label sets."""
+    labels = sorted(h.quotient.nodes)
+    bar_x = rng.sample(labels, rng.randrange(len(labels) + 1))
+    under_z = rng.sample(labels, rng.randrange(len(labels) + 1))
+    return mutilate_summary(h, bar_x, under_z)
 
 
 class TestRecursiveBasis:
