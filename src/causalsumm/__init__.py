@@ -21,7 +21,6 @@ from .bench import (
 )
 from .cagres import (
     CagresConfig,
-    CostCaches,
     SimilarityMatrix,
     StuckError,
     get_cost,
@@ -65,7 +64,6 @@ __all__ = [
     "CagresConfig",
     "CiStatement",
     "ComparisonReport",
-    "CostCaches",
     "CycleError",
     "Dag",
     "DoQuery",

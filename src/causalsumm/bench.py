@@ -11,11 +11,10 @@ import csv
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .cagres import StuckError, is_valid_pair
+from .cagres import _Engine
 from .graph_core import Dag, SizeLimitError, ValidationError, topological_order
 from .separation import SeparationQuery, d_separated
 from .summary import (
@@ -23,10 +22,8 @@ from .summary import (
     additional_edges,
     canonical,
     canonical_edge_count,
-    contract,
     ground_ci,
     summary_recursive_basis,
-    trivial_summary,
 )
 
 
@@ -150,23 +147,22 @@ def brute_force_summarize(g, k):
 
 
 def random_summarize(g, k, seed=0):
-    """The random baseline: contract uniformly chosen valid pairs down to k."""
+    """The random baseline: contract uniformly chosen valid pairs down to k.
+
+    Each step lists the valid pairs in label order and draws one index
+    from a numpy Generator seeded with ``seed``.
+    """
     if not 1 <= k <= g.num_nodes:
         raise ValidationError(f"infeasible k={k} for {g.num_nodes} nodes")
     rng = np.random.default_rng(seed)
-    h = trivial_summary(g)
-    while h.quotient.num_nodes > k:
-        pairs = [
-            (a, b)
-            for a, b in combinations(sorted(h.quotient.nodes), 2)
-            if is_valid_pair(h, a, b)
-        ]
-        if not pairs:
-            raise StuckError(
-                f"no valid pair left at {h.quotient.num_nodes} clusters (target k={k})"
-            )
-        h = contract(h, *pairs[int(rng.integers(len(pairs)))])
-    return h
+    engine = _Engine.of_graph(g)
+    while len(engine.alive) > k:
+        first, second = engine.valid_pairs()
+        if not len(first):
+            raise engine.stuck(k)
+        pick = int(rng.integers(len(first)))
+        engine.merge(int(first[pick]), int(second[pick]))
+    return engine.summary()
 
 
 def implication_percentage(a, b):

@@ -8,6 +8,7 @@ and identical invocations produce byte-identical files.
 """
 
 import argparse
+import io
 import json
 import re
 import sys
@@ -51,7 +52,10 @@ def _format_of(path):
 
 
 def _read_text(path):
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason}") from None
 
 
 def _write_text(path, text):
@@ -71,11 +75,15 @@ def _require(condition, message):
         raise ParseError(message)
 
 
+def _labels(values):
+    return isinstance(values, list) and all(isinstance(v, str) for v in values)
+
+
 def _edge_pairs(edges, what):
     _require(isinstance(edges, list), f"{what} needs an 'edges' list")
     for e in edges:
         _require(
-            isinstance(e, list) and len(e) == 2, f"edge must be a [tail, head] pair: {e}"
+            _labels(e) and len(e) == 2, f"edge must be a [tail, head] pair of labels: {e}"
         )
     return [tuple(e) for e in edges]
 
@@ -214,13 +222,14 @@ def load_summary(path):
     for key in ("base", "base_order", "clusters", "edges"):
         _require(key in doc, f"summary document needs {key!r}")
     base = _dag_from_doc(doc["base"])
-    _require(isinstance(doc["base_order"], list), "'base_order' must be a list")
+    _require(_labels(doc["base_order"]), "'base_order' must be a list of labels")
     edges = _edge_pairs(doc["edges"], "summary document")
     clusters = doc["clusters"]
     _require(isinstance(clusters, dict), "'clusters' must map label -> members")
     mapping = {}
     for label, members in clusters.items():
         _require(isinstance(members, list) and members, f"cluster {label!r} is empty")
+        _require(_labels(members), f"cluster {label!r} members must be labels")
         for v in members:
             _require(v not in mapping, f"node {v!r} appears in two clusters")
             mapping[v] = label
@@ -276,8 +285,10 @@ def load_similarity(path, threshold):
     """Read a similarity matrix CSV (first row/column are node labels)."""
     import csv
 
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        rows = list(csv.reader(io.StringIO(_read_text(path), newline="")))
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}") from None
     _require(rows and len(rows[0]) > 1, "similarity CSV needs a label header")
     labels = rows[0][1:]
     index = {label: i for i, label in enumerate(labels)}
@@ -335,7 +346,6 @@ def _cmd_summarize(args):
     cfg = cagres.CagresConfig(
         k=args.k,
         seed=args.seed,
-        use_cache=not args.no_cache,
         use_preprocessing=not args.no_preprocess,
         similarity=similarity,
     )
@@ -349,7 +359,8 @@ def _cmd_canonical(args):
 
 
 def _cmd_rb(args):
-    if _format_of(args.in_path) == "json" and "clusters" in _load_json(args.in_path):
+    doc = _load_json(args.in_path) if _format_of(args.in_path) == "json" else None
+    if isinstance(doc, dict) and "clusters" in doc:
         h = load_summary(args.in_path)
         position = {v: i for i, v in enumerate(h.base_order)}
         statements = [ground_ci(h, s) for s in summary_recursive_basis(h)]
@@ -433,7 +444,6 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--similarity", help="similarity matrix CSV")
     p.add_argument("--tau", type=float, help="similarity threshold in [0,1]")
-    p.add_argument("--no-cache", action="store_true")
     p.add_argument("--no-preprocess", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_summarize)

@@ -191,10 +191,10 @@ class SummaryDag:
         """The summary of ``base`` whose clusters are the blocks of a partition.
 
         ``block_of`` maps every base node to a block id and ``block_edges``
-        holds (block, block) quotient edges between distinct blocks. Each
-        cluster is labeled by its members concatenated in base order, and
-        the quotient lists clusters by their earliest member. Raises
-        ``CycleError`` when the block edges are cyclic.
+        holds (block, block) quotient edges between distinct blocks.
+        Clusters are labeled by ``cluster_labels`` and the quotient lists
+        them by their earliest member. Raises ``CycleError`` when the block
+        edges are cyclic.
 
         >>> g = Dag("ABC", [("A", "B"), ("B", "C")])
         >>> h = SummaryDag.from_partition(g, "ABC", {"A": 0, "B": 1, "C": 1}, [(0, 1)])
@@ -204,20 +204,39 @@ class SummaryDag:
         members = {}
         for v in base_order:
             members.setdefault(block_of[v], []).append(v)
-        labels, seen = {}, set()
-        for block, vs in members.items():
-            label = "".join(vs)
-            if label in seen:
-                raise ValidationError(
-                    f"merged label {label!r} collides with an existing cluster"
-                )
-            seen.add(label)
-            labels[block] = label
+        labels = dict(zip(members, cluster_labels(members.values())))
         quotient = Dag(
             labels.values(), sorted((labels[a], labels[b]) for a, b in block_edges)
         )
         mapping = {v: labels[block] for v, block in block_of.items()}
         return cls(base, quotient, mapping, base_order, mutilated=mutilated)
+
+
+def cluster_labels(blocks):
+    """Labels for member lists given in base order, by their earliest member.
+
+    A singleton keeps its node's label. A larger cluster is labeled by its
+    members concatenated in base order; when that text is already taken,
+    by a node label or by an earlier cluster, the first free ``#2``,
+    ``#3``, ... suffix is appended. The labels therefore depend only on
+    the partition and the base order, and are unique.
+
+    >>> cluster_labels([["A", "B"], ["AB"], ["C"]])
+    ['AB#2', 'AB', 'C']
+    """
+    blocks = list(blocks)
+    taken = {vs[0] for vs in blocks if len(vs) == 1}
+    labels = []
+    for vs in blocks:
+        label = "".join(vs)
+        if len(vs) > 1:
+            suffix = 1
+            while label in taken:
+                suffix += 1
+                label = f"{''.join(vs)}#{suffix}"
+            taken.add(label)
+        labels.append(label)
+    return labels
 
 
 def trivial_summary(g):
@@ -235,8 +254,8 @@ def trivial_summary(g):
 def contract(h, a, b):
     """Merge clusters ``a`` and ``b`` of a summary into one.
 
-    Every cluster of the result, the merged one included, is labeled by its
-    members concatenated in base order (see ``SummaryDag.from_partition``).
+    Every cluster of the result, the merged one included, is labeled from
+    its members (see ``cluster_labels``).
     Raises ``CycleError`` exactly when the quotient has a directed path of
     at least two edges between ``a`` and ``b`` (in either direction) — the
     contracted graph would then contain a directed cycle.

@@ -121,3 +121,119 @@ def partition_summary(g, order, blocks):
         (block_of[u], block_of[v]) for u, v in g.edges if block_of[u] != block_of[v]
     }
     return SummaryDag.from_partition(g, order, block_of, edges)
+
+
+def reference_valid(h, a, b, similarity=None):
+    """Pair validity the definitional way: the path check on the quotient
+    ``Dag``, then every cross-member similarity."""
+    from causalsumm import has_directed_path_len_ge2
+
+    if has_directed_path_len_ge2(h.quotient, a, b):
+        return False
+    if similarity is None:
+        return True
+    return all(
+        similarity.sim(u, v) >= similarity.threshold
+        for u in h.members(a)
+        for v in h.members(b)
+    )
+
+
+def reference_cost(h, a, b):
+    """The merge cost read off the summary's quotient neighborhoods."""
+    q = h.quotient
+    size_a, size_b = h.cluster_size(a), h.cluster_size(b)
+
+    def grounded(labels):
+        return sum(h.cluster_size(c) for c in labels)
+
+    cost = 0 if q.has_edge(a, b) or q.has_edge(b, a) else size_a * size_b
+    partners = {a, b}
+    cost += grounded(q.parents(a) - q.parents(b) - partners) * size_b
+    cost += grounded(q.parents(b) - q.parents(a) - partners) * size_a
+    cost += grounded(q.children(a) - q.children(b) - partners) * size_b
+    cost += grounded(q.children(b) - q.children(a) - partners) * size_a
+    return cost
+
+
+def reference_low_cost_merges(h, cfg):
+    """The preprocessing pass as a rescan that contracts after every merge."""
+    from causalsumm import contract
+
+    def identical(q, a, b):
+        return q.parents(a) == q.parents(b) and q.children(a) == q.children(b)
+
+    def chain_link(q, a, b):
+        if not (q.has_edge(a, b) or q.has_edge(b, a)):
+            return False
+        return all(len(q.parents(x)) <= 1 and len(q.children(x)) <= 1 for x in (a, b))
+
+    changed = True
+    while changed and h.quotient.num_nodes > cfg.k:
+        changed = False
+        q = h.quotient
+        for a, b in combinations(sorted(q.nodes), 2):
+            if not (identical(q, a, b) or chain_link(q, a, b)):
+                continue
+            if not reference_valid(h, a, b, cfg.similarity):
+                continue
+            h = contract(h, a, b)
+            changed = True
+            break
+    return h
+
+
+def reference_summarize(g, cfg):
+    """Greedy summarization as a full rescan: every iteration re-checks and
+    re-prices every pair of a freshly contracted summary, with the same
+    seeded sequential tie-break coin as ``summarize``."""
+    import random
+
+    from causalsumm import StuckError, ValidationError, contract, trivial_summary
+
+    if not 1 <= cfg.k <= g.num_nodes:
+        raise ValidationError(f"infeasible k={cfg.k} for a graph with {g.num_nodes} nodes")
+    rng = random.Random(cfg.seed)
+    h = trivial_summary(g)
+    if cfg.use_preprocessing:
+        h = reference_low_cost_merges(h, cfg)
+    while h.quotient.num_nodes > cfg.k:
+        best_pair, best_cost = None, None
+        for a, b in combinations(sorted(h.quotient.nodes), 2):
+            if not reference_valid(h, a, b, cfg.similarity):
+                continue
+            cost = reference_cost(h, a, b)
+            if best_cost is None or cost < best_cost:
+                best_pair, best_cost = (a, b), cost
+            elif cost == best_cost and rng.random() < 0.5:
+                best_pair = (a, b)
+        if best_pair is None:
+            raise StuckError(
+                f"no valid pair left at {h.quotient.num_nodes} clusters (target k={cfg.k})"
+            )
+        h = contract(h, *best_pair)
+    return h
+
+
+def reference_random_summarize(g, k, seed=0):
+    """The random baseline as a rescan that contracts after every merge."""
+    import numpy as np
+
+    from causalsumm import StuckError, ValidationError, contract, trivial_summary
+
+    if not 1 <= k <= g.num_nodes:
+        raise ValidationError(f"infeasible k={k} for {g.num_nodes} nodes")
+    rng = np.random.default_rng(seed)
+    h = trivial_summary(g)
+    while h.quotient.num_nodes > k:
+        pairs = [
+            (a, b)
+            for a, b in combinations(sorted(h.quotient.nodes), 2)
+            if reference_valid(h, a, b)
+        ]
+        if not pairs:
+            raise StuckError(
+                f"no valid pair left at {h.quotient.num_nodes} clusters (target k={k})"
+            )
+        h = contract(h, *pairs[int(rng.integers(len(pairs)))])
+    return h

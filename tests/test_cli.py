@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -5,9 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalsumm import (
     Dag,
+    GraphError,
     ValidationError,
     additional_edges,
     canonical,
@@ -170,11 +176,11 @@ class TestCommands:
             cli(["gen", "--n", "7", "--density", "0.5", "--seed", "3", "--out", out])
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
-    def test_cache_flag_does_not_change_the_output(self, fixtures_dir, tmp_path):
+    def test_preprocess_flag_does_not_change_the_output(self, fixtures_dir, tmp_path):
         src = str(fixtures_dir / "redshift.json")
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         cli(["summarize", "--in", src, "--k", "5", "--out", a])
-        cli(["summarize", "--in", src, "--k", "5", "--no-cache", "--out", b])
+        cli(["summarize", "--in", src, "--k", "5", "--no-preprocess", "--out", b])
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_canonical(self, fixtures_dir, tmp_path, h1):
@@ -300,3 +306,111 @@ def test_console_script(fixtures_dir):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["C | B | A", "D | A | B,C", "E | A,B,C | D"]
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def damaged(draw, doc):
+    """``doc`` with one entry, at any depth, replaced by a random JSON value."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            return doc
+        key = draw(st.sampled_from(keys))
+        if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+            node = node[key]
+            continue
+        node[key] = draw(json_values)
+        return doc
+
+
+def _summary_doc():
+    from causalsumm import fixtures
+    from causalsumm.cli_io import summary_to_doc
+
+    return summary_to_doc(fixtures.h1())
+
+
+file_contents = st.one_of(
+    st.builds(json.dumps, damaged(_summary_doc())).map(str.encode),
+    st.builds(json.dumps, json_values).map(str.encode),
+    st.text(max_size=40).map(str.encode),
+    st.binary(max_size=20),
+)
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(content=file_contents, suffix=st.sampled_from([".json", ".dot", ".csv"]))
+    def test_only_graph_errors_escape(self, tmp_path_factory, content, suffix):
+        path = tmp_path_factory.mktemp("fuzz") / f"in{suffix}"
+        path.write_bytes(content)
+        loaders = {
+            ".json": (load_dag, load_summary),
+            ".dot": (load_dag,),
+            ".csv": (lambda p: load_similarity(p, 0.5),),
+        }
+        for load in loaders[suffix]:
+            try:
+                load(path)
+            except GraphError:
+                pass
+
+    @settings(max_examples=60, deadline=None)
+    @given(content=file_contents)
+    def test_cli_never_prints_a_traceback(self, tmp_path_factory, content):
+        folder = tmp_path_factory.mktemp("fuzz")
+        bad_json, bad_csv = folder / "in.json", folder / "sim.csv"
+        bad_json.write_bytes(content)
+        bad_csv.write_bytes(content)
+        g1 = str(Path(__file__).resolve().parent.parent / "fixtures" / "g1.json")
+        runs = [
+            ["rb", "--in", bad_json],
+            ["canonical", "--in", bad_json, "--out", folder / "c.json"],
+            ["query", "--in", bad_json, "--mode", "ssep", "--x", "A", "--y", "E"],
+            ["summarize", "--in", g1, "--k", "2", "--similarity", bad_csv, "--tau", "0.5",
+             "--out", folder / "h.json"],
+        ]
+        for argv in runs:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli([str(a) for a in argv])
+            assert code in (0, 1)
+            assert "Traceback" not in err.getvalue()
+            if code:
+                assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"version": 1, "nodes": ["A", "B"], "edges": [["A", ["B"]]]},
+            {"version": 1, "nodes": ["A", "B"], "edges": [[{}, "B"]]},
+        ],
+    )
+    def test_unhashable_edge_labels_are_parse_errors(self, tmp_path, doc):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="pair of labels"):
+            load_dag(path)
+
+    @pytest.mark.parametrize("field", ["clusters", "base_order"])
+    def test_unhashable_summary_members_are_parse_errors(self, tmp_path, capsys, field):
+        doc = _summary_doc()
+        if field == "clusters":
+            doc["clusters"]["BC"] = [["B"], "C"]
+        else:
+            doc["base_order"][0] = ["A"]
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            load_summary(path)
+        assert cli(["rb", "--in", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")

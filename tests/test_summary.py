@@ -63,12 +63,20 @@ class TestContract:
         with pytest.raises(UnknownNodeError):
             contract(h1, "B", "D")
 
-    def test_label_collision_raises(self):
-        # merging A and B would mint the label "AB", which already names
-        # a singleton cluster; silently unifying them would corrupt f⁻¹
-        g = Dag(["A", "B", "AB"], [])
-        with pytest.raises(ValidationError, match="collides"):
-            contract(trivial_summary(g), "A", "B")
+    def test_label_collision_gets_a_suffix(self):
+        # merging A and B would mint the label "AB", which already names a
+        # singleton cluster; the singleton keeps it and the merge takes the
+        # first free suffix, so f⁻¹ stays intact
+        g = Dag(["A", "B", "AB", "AB#2"], [])
+        h = contract(trivial_summary(g), "A", "B")
+        assert h.quotient.node_set == {"AB#3", "AB", "AB#2"}
+        assert h.members("AB#3") == {"A", "B"}
+        assert h.members("AB") == {"AB"}
+        # two merged clusters can concatenate to the same text, too
+        g = Dag(["A", "BC", "AB", "C"], [])
+        h = contract(contract(trivial_summary(g), "A", "BC"), "AB", "C")
+        assert h.quotient.node_set == {"ABC", "ABC#2"}
+        assert h.members("ABC") == {"A", "BC"}
 
 
 class TestTrivialSummary:
