@@ -25,7 +25,6 @@ from .cagres import (
     StuckError,
     get_cost,
     is_valid_pair,
-    low_cost_merges,
     summarize,
 )
 from .cli_io import load_dag, load_summary, save_dag, save_summary
@@ -96,7 +95,6 @@ __all__ = [
     "is_valid_pair",
     "load_dag",
     "load_summary",
-    "low_cost_merges",
     "mutilate",
     "mutilate_summary",
     "perturb",

@@ -3,22 +3,20 @@
 ``summarize`` repeatedly merges the cheapest valid cluster pair until the
 summary has at most k clusters. "Cheapest" is measured by ``get_cost``,
 which prices a merge by exactly the number of edges the canonical causal
-DAG would gain. An optional low-cost-merge preprocessing pass applies
-obviously cheap merges first; it changes the runtime, not the result.
+DAG would gain.
 
-``summarize``, ``low_cost_merges`` and the random baseline
-``bench.random_summarize`` all run on one incremental engine instead of
-rebuilding a summary per merge. The engine keeps the working partition
-as integer cluster ids with their members, sizes, labels and a quotient
-adjacency matrix. Reachability is kept as Python-int bitsets: a merge ORs
-the merged row into the rows of its ancestors, in the style of
-incremental transitive closure (Italiano, TCS 1986), so validity is a
-bit test. Merge prices are memoized per pair; a merge marks only its
-neighbourhood for re-pricing, the pattern of agglomerative clustering
-(Müllner, arXiv:1109.2378). Every iteration still scans all valid pairs
-in label order (vectorized with numpy), so the output, tie-break coins
-included, equals the plain rescan kept in the tests as the reference.
-The summary is built once, at the end.
+``summarize`` and the random baseline ``bench.random_summarize`` run on
+one incremental engine instead of rebuilding a summary per merge. The
+engine keeps the working partition as integer cluster ids with their
+members, sizes, labels and a quotient adjacency matrix. Reachability is
+kept as Python-int bitsets: a merge ORs the merged row into the rows of
+its ancestors, in the style of incremental transitive closure (Italiano,
+TCS 1986), so validity is a bit test. Merge prices are memoized per
+pair; a merge marks only its neighbourhood for re-pricing, the pattern of
+agglomerative clustering (Müllner, arXiv:1109.2378). Every iteration
+still scans all valid pairs in label order (vectorized with numpy), so
+the output, tie-break coins included, equals the plain rescan kept in the
+tests as the reference. The summary is built once, at the end.
 """
 
 import random
@@ -78,14 +76,11 @@ class CagresConfig:
     """Knobs for ``summarize``.
 
     k is the target cluster count; seed drives the tie-break coin;
-    use_preprocessing toggles the low-cost-merge pass (for ablations — the
-    result is unchanged); similarity, when given, forbids merges below its
-    threshold.
+    similarity, when given, forbids merges below its threshold.
     """
 
     k: int
     seed: int = 0
-    use_preprocessing: bool = True
     similarity: SimilarityMatrix = None
 
     def __post_init__(self):
@@ -107,8 +102,8 @@ class _Engine:
     builds the result.
     """
 
-    def __init__(self, base, base_order, quotient, clusters, mutilated=False, similarity=None):
-        self.base, self.base_order, self.mutilated = base, tuple(base_order), mutilated
+    def __init__(self, base, base_order, quotient, clusters, similarity=None):
+        self.base, self.base_order = base, tuple(base_order)
         self.position = {v: i for i, v in enumerate(self.base_order)}
         self.labels = list(quotient.nodes)
         self.ids = {label: i for i, label in enumerate(self.labels)}
@@ -137,12 +132,12 @@ class _Engine:
     @classmethod
     def of(cls, h, similarity=None):
         """An engine over the clusters of summary ``h``."""
-        return cls(h.base, h.base_order, h.quotient, h.clusters, h.mutilated, similarity)
+        return cls(h.base, h.base_order, h.quotient, h.clusters, similarity)
 
     @classmethod
     def of_graph(cls, g, similarity=None):
         """An engine over the identity summary of ``g``."""
-        return cls(g, topological_order(g), g, {v: (v,) for v in g.nodes}, False, similarity)
+        return cls(g, topological_order(g), g, {v: (v,) for v in g.nodes}, similarity)
 
     def _far_row(self, children):
         row = 0
@@ -266,35 +261,15 @@ class _Engine:
         bits = np.unpackbits(packed.reshape(len(rows), width), axis=1, count=n, bitorder="little")
         return bits.view(bool)
 
-    def valid_pairs(self, wanted=None):
+    def valid_pairs(self):
         """Every valid pair as two id arrays, in scan order: the label order
-        ``combinations`` walks. ``wanted``, given the ids in label order,
-        may return a boolean matrix over them that keeps fewer pairs."""
+        ``combinations`` walks."""
         ids = np.array(self.order(), dtype=np.intp)
         far = self._bits([self.far[x] for x in ids])[:, ids]
         clash = self._bits([self.clash[x] for x in ids])[:, ids]
         keep = ~(far | far.T | clash)
-        if wanted is not None:
-            keep &= wanted(ids)
         first, second = np.nonzero(np.triu(keep, 1))
         return ids[first], ids[second]
-
-    def cheap_pair(self):
-        """The first valid pair in scan order that a low-cost rule matches:
-        identical parent and child sets, or a link of a non-branching chain."""
-
-        def cheap(ids):
-            out, into = self.adj[ids], self.adj[:, ids].T
-            # clusters with the same parents and children share a group
-            groups = {}
-            rows = np.packbits(np.hstack([out, into]), axis=1)
-            group = np.array([groups.setdefault(row.tobytes(), i) for i, row in enumerate(rows)])
-            lone = (out.sum(axis=1) <= 1) & (into.sum(axis=1) <= 1)
-            link = (out[:, ids] | into[:, ids]).astype(bool)
-            return (group[:, None] == group[None, :]) | (link & lone[:, None] & lone[None, :])
-
-        first, second = self.valid_pairs(cheap)
-        return (int(first[0]), int(second[0])) if len(first) else None
 
     def cheapest_pair(self, rng):
         """A minimum-price valid pair in scan order, ties broken by the coin.
@@ -323,11 +298,7 @@ class _Engine:
         block_of = {v: x for x in self.alive for v in self.members[x]}
         tails, heads = np.nonzero(self.adj)
         return SummaryDag.from_partition(
-            self.base,
-            self.base_order,
-            block_of,
-            zip(tails.tolist(), heads.tolist()),
-            mutilated=self.mutilated,
+            self.base, self.base_order, block_of, zip(tails.tolist(), heads.tolist())
         )
 
 
@@ -372,36 +343,13 @@ def is_valid_pair(h, a, b, cfg=None):
     return engine.valid(*_pair_ids(engine, a, b))
 
 
-def _low_cost_merges(engine, k):
-    while len(engine.alive) > k:
-        pair = engine.cheap_pair()
-        if pair is None:
-            return
-        engine.merge(*pair)
-
-
-def low_cost_merges(h, cfg):
-    """Greedy preprocessing: apply obviously-cheap merges to a fixpoint.
-
-    Two patterns are merged eagerly: cluster pairs with identical parent
-    and child sets (cost is exactly the clique term), and adjacent links
-    of a non-branching chain (each side having at most one parent and one
-    child). Each pass takes the first matching valid pair in label order.
-    Merges never push the cluster count below cfg.k. Returns ``h`` itself
-    when nothing merges; otherwise every cluster is relabeled from its
-    members (see ``cluster_labels``).
-    """
-    engine = _Engine.of(h, cfg.similarity)
-    _low_cost_merges(engine, cfg.k)
-    return engine.summary() if len(engine.alive) < h.quotient.num_nodes else h
-
-
 def summarize(g, cfg):
     """Summarize ``g`` down to at most ``cfg.k`` clusters, greedily.
 
     Starts from the identity summary; each iteration scans all valid
     cluster pairs in label order, prices each with ``get_cost``, and
-    merges a minimum-cost pair. Raises StuckError if the similarity
+    merges a minimum-cost pair, so every merge is a cheapest valid merge
+    of the summary it is made in. Raises StuckError if the similarity
     constraint exhausts valid pairs before the budget is met, and
     UnknownNodeError if the similarity matrix misses a node of ``g``.
 
@@ -415,7 +363,7 @@ def summarize(g, cfg):
 
     >>> from causalsumm import Dag
     >>> g = Dag("ABCDE", [("A","B"), ("A","C"), ("B","D"), ("C","D"), ("D","E")])
-    >>> h = summarize(g, CagresConfig(k=4, seed=7, use_preprocessing=False))
+    >>> h = summarize(g, CagresConfig(k=4, seed=7))
     >>> sorted(h.quotient.nodes)
     ['A', 'BC', 'D', 'E']
     """
@@ -425,8 +373,6 @@ def summarize(g, cfg):
         )
     rng = random.Random(cfg.seed)
     engine = _Engine.of_graph(g, cfg.similarity)
-    if cfg.use_preprocessing:
-        _low_cost_merges(engine, cfg.k)
     while len(engine.alive) > cfg.k:
         pair = engine.cheapest_pair(rng)
         if pair is None:

@@ -343,12 +343,7 @@ def _cmd_summarize(args):
     similarity = (
         load_similarity(args.similarity, args.tau) if args.similarity else None
     )
-    cfg = cagres.CagresConfig(
-        k=args.k,
-        seed=args.seed,
-        use_preprocessing=not args.no_preprocess,
-        similarity=similarity,
-    )
+    cfg = cagres.CagresConfig(k=args.k, seed=args.seed, similarity=similarity)
     save_summary(cagres.summarize(g, cfg), args.out)
     return 0
 
@@ -444,7 +439,6 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--similarity", help="similarity matrix CSV")
     p.add_argument("--tau", type=float, help="similarity threshold in [0,1]")
-    p.add_argument("--no-preprocess", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_summarize)
 

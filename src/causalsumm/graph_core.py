@@ -12,9 +12,6 @@ import heapq
 #: characters reserved by the file formats (field separators)
 RESERVED_CHARS = frozenset(",;|")
 
-NodeId = str
-VarSet = frozenset
-
 
 class GraphError(Exception):
     """Base class for every domain error raised by this package."""

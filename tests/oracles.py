@@ -156,33 +156,6 @@ def reference_cost(h, a, b):
     return cost
 
 
-def reference_low_cost_merges(h, cfg):
-    """The preprocessing pass as a rescan that contracts after every merge."""
-    from causalsumm import contract
-
-    def identical(q, a, b):
-        return q.parents(a) == q.parents(b) and q.children(a) == q.children(b)
-
-    def chain_link(q, a, b):
-        if not (q.has_edge(a, b) or q.has_edge(b, a)):
-            return False
-        return all(len(q.parents(x)) <= 1 and len(q.children(x)) <= 1 for x in (a, b))
-
-    changed = True
-    while changed and h.quotient.num_nodes > cfg.k:
-        changed = False
-        q = h.quotient
-        for a, b in combinations(sorted(q.nodes), 2):
-            if not (identical(q, a, b) or chain_link(q, a, b)):
-                continue
-            if not reference_valid(h, a, b, cfg.similarity):
-                continue
-            h = contract(h, a, b)
-            changed = True
-            break
-    return h
-
-
 def reference_summarize(g, cfg):
     """Greedy summarization as a full rescan: every iteration re-checks and
     re-prices every pair of a freshly contracted summary, with the same
@@ -195,8 +168,6 @@ def reference_summarize(g, cfg):
         raise ValidationError(f"infeasible k={cfg.k} for a graph with {g.num_nodes} nodes")
     rng = random.Random(cfg.seed)
     h = trivial_summary(g)
-    if cfg.use_preprocessing:
-        h = reference_low_cost_merges(h, cfg)
     while h.quotient.num_nodes > cfg.k:
         best_pair, best_cost = None, None
         for a, b in combinations(sorted(h.quotient.nodes), 2):

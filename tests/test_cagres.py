@@ -9,24 +9,20 @@ from causalsumm import (
     GraphError,
     SimilarityMatrix,
     StuckError,
-    SummaryDag,
     ValidationError,
     additional_edges,
     contract,
     get_cost,
     is_compatible,
     is_valid_pair,
-    low_cost_merges,
     random_summarize,
     summarize,
-    topological_order,
     trivial_summary,
 )
 from causalsumm.cagres import _Engine
 from conftest import dags
 from oracles import (
     canonical_delta,
-    reference_low_cost_merges,
     reference_random_summarize,
     reference_summarize,
 )
@@ -40,6 +36,28 @@ def full_similarity(g, overrides=None, threshold=0.8):
         i, j = labels.index(u), labels.index(v)
         values[i, j] = values[j, i] = s
     return SimilarityMatrix(labels, values, threshold)
+
+
+@st.composite
+def random_dags(draw, max_nodes=30):
+    """A random DAG with n <= max_nodes, sparse or dense.
+
+    Half the graphs use unpadded numeric labels ("1", "2", "12", ...), whose
+    concatenations can collide with node labels.
+    """
+    n = draw(st.integers(1, max_nodes))
+    numeric = draw(st.booleans())
+    labels = [str(i + 1) if numeric else f"N{i:02d}" for i in range(n)]
+    order = draw(st.permutations(labels))
+    density = draw(st.sampled_from([0.05, 0.1, 0.2, 0.4, 0.8]))
+    rng = draw(st.randoms(use_true_random=False))
+    edges = [
+        (order[i], order[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < density
+    ]
+    return Dag(labels, edges)
 
 
 class TestSimilarityMatrix:
@@ -116,28 +134,6 @@ class TestEngine:
         assert engine.acyclic(a, b) and engine.acyclic(d, e)
 
 
-class TestLowCostMerges:
-    def test_diamond_merges_identical_neighborhoods(self):
-        g = Dag("ABCD", [("A", "B"), ("A", "C"), ("B", "D"), ("C", "D")])
-        h = low_cost_merges(trivial_summary(g), CagresConfig(k=3))
-        assert h.quotient.node_set == {"A", "BC", "D"}
-
-    def test_chain_collapses(self):
-        g = Dag("ABCD", [("A", "B"), ("B", "C"), ("C", "D")])
-        h = low_cost_merges(trivial_summary(g), CagresConfig(k=2))
-        assert h.quotient.num_nodes == 2
-
-    def test_stops_at_k(self, g1):
-        h = low_cost_merges(trivial_summary(g1), CagresConfig(k=5))
-        assert h.quotient.num_nodes == 5
-
-    def test_respects_similarity(self):
-        g = Dag("ABCD", [("A", "B"), ("A", "C"), ("B", "D"), ("C", "D")])
-        cfg = CagresConfig(k=3, similarity=full_similarity(g, {("B", "C"): 0.1}))
-        h = low_cost_merges(trivial_summary(g), cfg)
-        assert h.quotient.num_nodes == 4  # the only candidate pair is barred
-
-
 class TestSummarize:
     def test_g1_k5_is_trivial(self, g1):
         h = summarize(g1, CagresConfig(k=5, seed=0))
@@ -191,7 +187,7 @@ class TestSummarize:
             "NumJoinsNumTablesResultCacheHit",
             "QueryTemplateNumColumnsReturnedRowsReturnedBytes",
         ]
-        expected = [a, a, b, a, a, b, b, b, b, a]
+        expected = [b, a, b, a, a, a, a, a, a, a]
         for seed, want in enumerate(expected):
             h = summarize(redshift, CagresConfig(k=4, seed=seed))
             assert sorted(h.quotient.nodes) == want, seed
@@ -201,13 +197,32 @@ class TestSummarize:
         [(["A", "B", "AB", "C"], "AB#2"), (["1", "2", "12", "C"], "12#2")],
     )
     def test_concatenated_labels_may_collide(self, labels, merged):
-        # merging the two children of C mints a label a node already has
-        g = Dag(labels, [("C", labels[0]), ("C", labels[1])])
+        # merging the two children of C (and parents of D) mints a label a
+        # node already has; that merge costs 1, every other valid pair >= 2
+        g = Dag(
+            labels + ["D"],
+            [("C", labels[0]), ("C", labels[1]), (labels[0], "D"), (labels[1], "D")],
+        )
         for seed in range(5):
-            h = summarize(g, CagresConfig(k=3, seed=seed))
-            assert h.quotient.node_set == {merged, labels[2], "C"}
+            h = summarize(g, CagresConfig(k=4, seed=seed))
+            assert h.quotient.node_set == {merged, labels[2], "C", "D"}
             assert h.members(merged) == set(labels[:2])
             assert h.members(labels[2]) == {labels[2]}
+
+    @settings(deadline=None)
+    @given(random_dags(max_nodes=12), st.integers(0, 10_000))
+    def test_first_merge_is_a_cheapest_valid_pair(self, g, seed):
+        h = trivial_summary(g)
+        labels = sorted(h.quotient.nodes)
+        costs = [
+            get_cost(h, a, b)
+            for i, a in enumerate(labels)
+            for b in labels[i + 1 :]
+            if is_valid_pair(h, a, b)
+        ]
+        if costs:
+            merged = summarize(g, CagresConfig(k=g.num_nodes - 1, seed=seed))
+            assert additional_edges(merged) == min(costs)
 
     @given(dags(min_nodes=2, max_nodes=7), st.integers(0, 1000))
     def test_output_is_always_a_valid_summary(self, g, seed):
@@ -219,26 +234,12 @@ class TestSummarize:
 
 @st.composite
 def greedy_cases(draw):
-    """A random DAG with n <= 30, a budget k and an optional similarity.
-
-    Half the graphs use unpadded numeric labels ("1", "2", "12", ...), whose
-    concatenations can collide with node labels.
-    """
-    n = draw(st.integers(1, 30))
-    numeric = draw(st.booleans())
-    labels = [str(i + 1) if numeric else f"N{i:02d}" for i in range(n)]
-    order = draw(st.permutations(labels))
-    density = draw(st.sampled_from([0.05, 0.1, 0.2, 0.4, 0.8]))
-    rng = draw(st.randoms(use_true_random=False))
-    edges = [
-        (order[i], order[j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < density
-    ]
-    g = Dag(labels, edges)
+    """A random DAG, a budget k and an optional similarity."""
+    g = draw(random_dags())
+    n, labels = g.num_nodes, list(g.nodes)
     similarity = None
     if draw(st.booleans()):
+        rng = draw(st.randoms(use_true_random=False))
         values = np.array([[rng.random() for _ in range(n)] for _ in range(n)])
         values = (values + values.T) / 2
         np.fill_diagonal(values, 1.0)
@@ -247,7 +248,6 @@ def greedy_cases(draw):
     cfg = CagresConfig(
         k=draw(st.integers(1, n)),
         seed=draw(st.integers(0, 10_000)),
-        use_preprocessing=draw(st.booleans()),
         similarity=similarity,
     )
     return g, cfg
@@ -276,20 +276,3 @@ class TestEngineMatchesTheRescan:
         assert _outcome(lambda: random_summarize(g, cfg.k, cfg.seed)) == _outcome(
             lambda: reference_random_summarize(g, cfg.k, cfg.seed)
         )
-
-    @settings(max_examples=40, deadline=None)
-    @given(greedy_cases(), st.integers(1, 30))
-    def test_low_cost_merges_matches_the_reference_rescan(self, case, clusters):
-        g, cfg = case
-        order = topological_order(g)
-        clusters = min(clusters, g.num_nodes)
-        # contiguous blocks of the order, under labels that are not member
-        # concatenations; the first merge renames every cluster
-        labels = [f"C{i:02d}" for i in range(clusters)]
-        mapping = {v: labels[i * clusters // len(order)] for i, v in enumerate(order)}
-        edges = {(mapping[u], mapping[v]) for u, v in g.edges if mapping[u] != mapping[v]}
-        loaded = SummaryDag(g, Dag(labels, sorted(edges)), mapping, order)
-        for h in (trivial_summary(g), loaded):
-            assert _outcome(lambda: low_cost_merges(h, cfg)) == _outcome(
-                lambda: reference_low_cost_merges(h, cfg)
-            )
