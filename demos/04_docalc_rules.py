@@ -7,7 +7,7 @@ positive answer is safe for every causal DAG the summary stands for.
 Interventions act on whole clusters: do(BC) intervenes on B and C.
 """
 
-from causalsumm import DoQuery, adjustment_set, rule_applies, trivial_summary
+from causalsumm import DoQuery, ValidationError, adjustment_set, rule_applies, trivial_summary
 from causalsumm.fixtures import g1, h1
 
 h = h1()
@@ -29,8 +29,16 @@ print("R3, drop do(D) from P(A | do(D)):", rule_applies(h, "R3", q))
 q = DoQuery(y={"E"}, z={"BC"})
 print("R3, drop do(BC) from P(E | do(BC)):", rule_applies(h, "R3", q))
 
-# Backdoor adjustment: which variables deconfound B -> E? The cluster
-# parents of B, grounded to base variables.
-print("\nadjustment set for B -> E on the summary:", sorted(adjustment_set(h, "B", "E")))
+# Backdoor adjustment: which variables deconfound D -> E? The members of
+# the cluster parents of D, which is alone in its cluster.
+print("\nadjustment set for D -> E on the summary:", sorted(adjustment_set(h, "D", "E")))
 print("adjustment set for D -> E on the full DAG:",
       sorted(adjustment_set(trivial_summary(g1()), "D", "E")))
+
+# B shares its cluster with C, and a compatible DAG with C -> B and C -> D
+# has the backdoor path B <- C -> D -> E that the quotient does not show,
+# so the summary gives no adjustment set for B alone.
+try:
+    adjustment_set(h, "B", "E")
+except ValidationError as exc:
+    print("adjustment set for B -> E on the summary: refused:", exc)

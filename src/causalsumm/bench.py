@@ -9,7 +9,6 @@ call, so every artifact is reproducible from its parameters.
 
 import csv
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,6 @@ from .summary import (
     SummaryDag,
     additional_edges,
     canonical,
-    canonical_edge_count,
     ground_ci,
     summary_recursive_basis,
 )
@@ -70,35 +68,28 @@ def gen_random_dag(spec):
     return Dag(labels, edges)
 
 
-def _is_acyclic(nodes, edges):
-    indegree = {v: 0 for v in nodes}
-    children = {v: [] for v in nodes}
-    for u, v in edges:
-        indegree[v] += 1
-        children[u].append(v)
-    ready = [v for v in nodes if indegree[v] == 0]
-    seen = 0
-    while ready:
-        u = ready.pop()
-        seen += 1
-        for v in children[u]:
-            indegree[v] -= 1
-            if indegree[v] == 0:
-                ready.append(v)
-    return seen == len(indegree)
-
-
 def brute_force_summarize(g, k):
     """The exact baseline: best summary over all partitions into <= k blocks.
 
     Enumerates set partitions as restricted-growth strings over the nodes
-    in topological order, pruning prefixes whose induced quotient is
-    already cyclic, and keeps a partition minimizing the canonical DAG's
-    additional edges, counted in closed form from the block sizes and
-    block edges (``canonical_edge_count``). Ties go to the
-    lexicographically smallest partition signature, so the result is
-    deterministic. Only the winner is built as a summary. Exponential:
-    guarded to 10 nodes.
+    in topological order, as a depth-first branch and bound whose state is
+    kept incrementally in integer indices: each assigned node's block, the
+    block sizes, and per block bitmasks of its in- and out-neighbour blocks
+    and of the blocks it reaches (reflexively). Placing node i in block b
+    adds only the edges (block of p, b) for i's parents p, so the prefix
+    turns cyclic exactly when b already reaches one of those source
+    blocks, and such prefixes are pruned.
+
+    The score of a partition is the canonical DAG's additional edges,
+    counted in closed form (``canonical_edge_count``) and updated in
+    O(blocks) per placed node. That count never falls as nodes are added,
+    since block sizes and block edges only grow, so a prefix's count is a
+    lower bound on every completion's score; a branch is cut only when the
+    bound is strictly above the best score found, so every tied partition
+    is still reached. Ties go to the lexicographically smallest partition
+    signature (blocks as node tuples in topological order), so the result
+    is deterministic and equals the unpruned search. Only the winner is
+    built as a summary. Exponential: guarded to 10 nodes.
     """
     if g.num_nodes > 10:
         raise SizeLimitError(
@@ -109,41 +100,67 @@ def brute_force_summarize(g, k):
 
     order = topological_order(g)
     n = len(order)
-    best = None  # (additional_edges, signature, assignment, block edges)
+    index = {v: i for i, v in enumerate(order)}
+    parents = [[index[u] for u in g.parents(v)] for v in order]
+    block = [0] * n
+    size = [0] * k
+    into, out = [0] * k, [0] * k
+    reach = [1 << b for b in range(k)]
+    best = None  # (additional_edges, signature, assignment)
 
-    def block_edges(assignment):
-        block_of = dict(zip(order, assignment))
-        edges = set()
-        for u, v in g.edges:
-            if u in block_of and v in block_of and block_of[u] != block_of[v]:
-                edges.add((block_of[u], block_of[v]))
-        return edges
+    def weight(mask):
+        """The total size of the blocks in ``mask``."""
+        total = 0
+        while mask:
+            low = mask & -mask
+            total += size[low.bit_length() - 1]
+            mask ^= low
+        return total
 
-    def extend(assignment, nblocks):
+    def extend(i, nblocks, count):
         nonlocal best
-        edges = block_edges(assignment)
-        if not _is_acyclic(set(assignment), edges):
-            return
-        i = len(assignment)
         if i == n:
             blocks = [[] for _ in range(nblocks)]
-            for v, b in zip(order, assignment):
+            for v, b in zip(order, block):
                 blocks[b].append(v)
-            score = canonical_edge_count(Counter(assignment), edges) - g.num_edges
-            signature = tuple(tuple(block) for block in blocks)
-            if best is None or (score, signature) < (best[0], best[1]):
-                best = (score, signature, assignment, edges)
+            score = count - g.num_edges
+            signature = tuple(tuple(vs) for vs in blocks)
+            if best is None or (score, signature) < best[:2]:
+                best = (score, signature, block[:])
             return
+        sources = 0
+        for p in parents[i]:
+            sources |= 1 << block[p]
         # restricted growth: reuse any existing block, or open block
         # nblocks (only while the block budget allows)
-        for b in range(nblocks):
-            extend(assignment + [b], nblocks)
-        if nblocks < k:
-            extend(assignment + [nblocks], nblocks + 1)
+        for b in range(min(nblocks + 1, k)):
+            bit = 1 << b
+            if reach[b] & sources & ~bit:
+                continue  # b reaches one of its new sources: a cycle
+            new = sources & ~bit & ~into[b]
+            # b's clique gains size[b] edges, each edge at b gains the
+            # neighbour's size, and each new edge x -> b |x|(|b| + 1)
+            bound = count + size[b] + weight(into[b] | out[b]) + weight(new) * (size[b] + 1)
+            if best is not None and bound - g.num_edges > best[0]:
+                continue
+            saved = reach[:], out[:], into[b]
+            block[i] = b
+            size[b] += 1
+            into[b] |= new
+            for x in range(nblocks):
+                if new >> x & 1:
+                    out[x] |= bit
+                if reach[x] & new:
+                    reach[x] |= reach[b]
+            extend(i + 1, max(nblocks, b + 1), bound)
+            reach[:], out[:], into[b] = saved
+            size[b] -= 1
 
-    extend([], 0)
-    _, _, assignment, edges = best
-    return SummaryDag.from_partition(g, order, dict(zip(order, assignment)), edges)
+    extend(0, 0, 0)
+    _, _, assignment = best
+    block_of = dict(zip(order, assignment))
+    edges = {(block_of[u], block_of[v]) for u, v in g.edges if block_of[u] != block_of[v]}
+    return SummaryDag.from_partition(g, order, block_of, edges)
 
 
 def random_summarize(g, k, seed=0):

@@ -111,6 +111,7 @@ class _Engine:
         self.members = [
             sorted(clusters[label], key=self.position.__getitem__) for label in self.labels
         ]
+        self.plain = self._plain(range(n))
         self.size = np.array([len(vs) for vs in self.members], dtype=np.int64)
         children = [[self.ids[c] for c in quotient.children(label)] for label in self.labels]
         edges = [(x, w) for x, heads in enumerate(children) for w in heads]
@@ -246,12 +247,34 @@ class _Engine:
             self.reach[x] = (self.reach[x] | row) & not_b
         for x in ancestors:
             self.far[x] = self._far_row(np.flatnonzero(adj[x]).tolist())
-        self._relabel()
+        self._relabel(a, b)
 
-    def _relabel(self):
+    def _plain(self, ids):
+        return all(self.labels[x] == "".join(self.members[x]) for x in ids)
+
+    def _relabel(self, a, b):
+        """Label the live clusters as ``cluster_labels`` would, after ``b``
+        merged into ``a``.
+
+        While every label is its members' concatenation (no ``#n`` suffix
+        is in use) and the merged concatenation is not another live label,
+        all concatenations stay distinct, so only ``a``'s label changes.
+        Otherwise every label is recomputed: a collision can add a suffix
+        here, or lift one elsewhere. Testing the labels themselves rather
+        than looking for ``#`` keeps node labels that contain ``#`` on the
+        short path.
+        """
+        del self.ids[self.labels[a]], self.ids[self.labels[b]]
+        label = "".join(self.members[a])
+        if self.plain and label not in self.ids:
+            self.labels[a] = label
+            self.ids[label] = a
+            return
         live = sorted(self.alive, key=lambda x: self.position[self.members[x][0]])
         for x, label in zip(live, cluster_labels(self.members[x] for x in live)):
             self.labels[x] = label
+        self.ids = {self.labels[x]: x for x in live}
+        self.plain = self._plain(live)
 
     def _bits(self, rows):
         """Bitset rows unpacked into a boolean matrix, one column per id."""

@@ -8,6 +8,7 @@ and identical invocations produce byte-identical files.
 """
 
 import argparse
+import functools
 import io
 import json
 import re
@@ -75,6 +76,12 @@ def _require(condition, message):
         raise ParseError(message)
 
 
+def _require_version(doc):
+    # JSON true and 1.0 compare equal to 1 in Python; only the integer counts
+    version = doc.get("version")
+    _require(type(version) is int and version == FORMAT_VERSION, "unsupported document version")
+
+
 def _labels(values):
     return isinstance(values, list) and all(isinstance(v, str) for v in values)
 
@@ -90,7 +97,7 @@ def _edge_pairs(edges, what):
 
 def _dag_from_doc(doc):
     _require(isinstance(doc, dict), "graph document must be an object")
-    _require(doc.get("version") == FORMAT_VERSION, "unsupported document version")
+    _require_version(doc)
     nodes = doc.get("nodes")
     _require(isinstance(nodes, list), "graph document needs a 'nodes' list")
     return Dag(nodes, _edge_pairs(doc.get("edges", []), "graph document"))
@@ -216,9 +223,12 @@ def load_summary(path):
     """Read a summary DAG from a JSON document."""
     if _format_of(path) != "json":
         raise ValidationError("summaries load from JSON only (DOT export is one-way)")
-    doc = _load_json(path)
+    return _summary_from_doc(_load_json(path))
+
+
+def _summary_from_doc(doc):
     _require(isinstance(doc, dict), "summary document must be an object")
-    _require(doc.get("version") == FORMAT_VERSION, "unsupported document version")
+    _require_version(doc)
     for key in ("base", "base_order", "clusters", "edges"):
         _require(key in doc, f"summary document needs {key!r}")
     base = _dag_from_doc(doc["base"])
@@ -354,13 +364,14 @@ def _cmd_canonical(args):
 
 
 def _cmd_rb(args):
-    doc = _load_json(args.in_path) if _format_of(args.in_path) == "json" else None
+    is_json = _format_of(args.in_path) == "json"
+    doc = _load_json(args.in_path) if is_json else None
     if isinstance(doc, dict) and "clusters" in doc:
-        h = load_summary(args.in_path)
+        h = _summary_from_doc(doc)
         position = {v: i for i, v in enumerate(h.base_order)}
         statements = [ground_ci(h, s) for s in summary_recursive_basis(h)]
     else:
-        g = load_dag(args.in_path)
+        g = _dag_from_doc(doc) if is_json else load_dag(args.in_path)
         order = topological_order(g)
         position = {v: i for i, v in enumerate(order)}
         statements = list(recursive_basis(g, order))
@@ -419,7 +430,13 @@ def _cmd_perturb(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The command-line parser, built once per process.
+
+    ``parse_args`` leaves the parser unchanged and returns a fresh
+    ``Namespace`` on each call, so one parser serves every ``cli`` call.
+    """
     parser = argparse.ArgumentParser(
         prog="causalsumm",
         description="Summarize causal DAGs and query the summaries.",

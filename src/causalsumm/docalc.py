@@ -84,18 +84,30 @@ def rule_applies(h, rule, q, zw_in_hbar=True):
 def adjustment_set(h, t, o):
     """A backdoor adjustment set for the effect of ``t`` on ``o``.
 
-    Returns the members of the quotient parents of t's cluster, which are
-    t's parents in the canonical causal DAG rebuilt with ``t`` first among
-    its cluster-mates. In every DAG compatible with the summary this set
-    holds every parent of t's cluster from outside it and no descendant of
-    it, so it satisfies the backdoor criterion for intervening on the
-    whole cluster. For ``t`` alone in a multi-member cluster it can miss a
-    backdoor path through a cluster-mate. ``o`` is only validated.
+    Returns the members of the quotient parents of t's cluster. ``t`` must
+    be alone in its cluster: then every parent of ``t`` in a DAG compatible
+    with the summary lies in that set and none of its members descends
+    from ``t``, so the set blocks every backdoor path at its first node and
+    satisfies the backdoor criterion (Pearl, *Causality*, 2009, §3.3) in
+    every compatible DAG. Raises ValidationError when ``t`` shares its
+    cluster, since a cluster-mate can open a backdoor path the quotient
+    does not show, and when ``o`` lies in one of those parent clusters,
+    since the set would contain the outcome.
     """
     for v in (t, o):
         if v not in h.base.node_set:
             raise UnknownNodeError(v)
     if t == o:
         raise ValidationError("treatment and outcome must differ")
-    parents = h.quotient.parents(h.cluster_of(t))
-    return frozenset().union(*(h.members(c) for c in parents))
+    cluster = h.cluster_of(t)
+    if h.cluster_size(cluster) > 1:
+        raise ValidationError(
+            f"treatment {t!r} shares cluster {cluster!r}; "
+            "an adjustment set is sound only for a treatment alone in its cluster"
+        )
+    adjust = frozenset().union(*(h.members(c) for c in h.quotient.parents(cluster)))
+    if o in adjust:
+        raise ValidationError(
+            f"outcome {o!r} lies in a parent cluster of the treatment {t!r}"
+        )
+    return adjust

@@ -6,7 +6,7 @@ library's pruned/incremental algorithms. When a library value and an
 oracle value agree, the agreement is meaningful.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 import networkx as nx
 
@@ -59,6 +59,39 @@ def all_dags(labels):
         graph.add_edges_from(edges)
         if nx.is_directed_acyclic_graph(graph):
             yield labels, edges
+
+
+def compatible_dags(h):
+    """Every DAG compatible with the summary ``h``, as (labels, edges) pairs.
+
+    Compatible means every edge stays inside a cluster or grounds a quotient
+    edge. Edges between clusters then follow the acyclic quotient, so such a
+    graph is acyclic exactly when its part inside each cluster is: the
+    compatible DAGs are every choice of one ``all_dags`` graph per cluster
+    together with every subset of the grounded quotient edges.
+    """
+    labels = list(h.base.nodes)
+    inside = [[edges for _, edges in all_dags(sorted(h.members(c)))] for c in h.quotient.nodes]
+    slots = sorted(
+        (u, v) for a, b in h.quotient.edges for u in h.members(a) for v in h.members(b)
+    )
+    for parts in product(*inside):
+        within = [e for edges in parts for e in edges]
+        for mask in range(1 << len(slots)):
+            yield labels, within + [slots[i] for i in range(len(slots)) if mask >> i & 1]
+
+
+def satisfies_backdoor(labels, edges, t, o, z):
+    """The backdoor criterion for ``z`` relative to (t, o) in one DAG: no
+    member of ``z`` descends from ``t``, and ``z`` d-separates ``t`` from
+    ``o`` once the edges out of ``t`` are removed (Pearl 2009, §3.3)."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(labels)
+    graph.add_edges_from(edges)
+    if set(z) & nx.descendants(graph, t):
+        return False
+    graph.remove_edges_from(list(graph.out_edges(t)))
+    return nx.is_d_separator(graph, {t}, {o}, set(z))
 
 
 def canonical_delta(h, a, b):
@@ -208,3 +241,86 @@ def reference_random_summarize(g, k, seed=0):
             )
         h = contract(h, *pairs[int(rng.integers(len(pairs)))])
     return h
+
+
+def _reference_is_acyclic(nodes, edges):
+    indegree = {v: 0 for v in nodes}
+    children = {v: [] for v in nodes}
+    for u, v in edges:
+        indegree[v] += 1
+        children[u].append(v)
+    ready = [v for v in nodes if indegree[v] == 0]
+    seen = 0
+    while ready:
+        u = ready.pop()
+        seen += 1
+        for v in children[u]:
+            indegree[v] -= 1
+            if indegree[v] == 0:
+                ready.append(v)
+    return seen == len(indegree)
+
+
+def reference_brute_force_summarize(g, k):
+    """The exact baseline as a plain search: best summary over all
+    partitions into <= k blocks, without pruning by score. Every prefix
+    rebuilds its block edges and runs a full Kahn cycle check.
+
+    Enumerates set partitions as restricted-growth strings over the nodes
+    in topological order, pruning prefixes whose induced quotient is
+    already cyclic, and keeps a partition minimizing the canonical DAG's
+    additional edges, counted in closed form from the block sizes and
+    block edges (``canonical_edge_count``). Ties go to the
+    lexicographically smallest partition signature, so the result is
+    deterministic. Only the winner is built as a summary. Exponential:
+    guarded to 10 nodes.
+    """
+    from collections import Counter
+
+    from causalsumm import SizeLimitError, SummaryDag, ValidationError, topological_order
+    from causalsumm.summary import canonical_edge_count
+
+    if g.num_nodes > 10:
+        raise SizeLimitError(
+            f"exhaustive search is exponential; refusing {g.num_nodes} nodes (limit 10)"
+        )
+    if not 1 <= k <= g.num_nodes:
+        raise ValidationError(f"infeasible k={k} for {g.num_nodes} nodes")
+
+    order = topological_order(g)
+    n = len(order)
+    best = None  # (additional_edges, signature, assignment, block edges)
+
+    def block_edges(assignment):
+        block_of = dict(zip(order, assignment))
+        edges = set()
+        for u, v in g.edges:
+            if u in block_of and v in block_of and block_of[u] != block_of[v]:
+                edges.add((block_of[u], block_of[v]))
+        return edges
+
+    def extend(assignment, nblocks):
+        nonlocal best
+        edges = block_edges(assignment)
+        if not _reference_is_acyclic(set(assignment), edges):
+            return
+        i = len(assignment)
+        if i == n:
+            blocks = [[] for _ in range(nblocks)]
+            for v, b in zip(order, assignment):
+                blocks[b].append(v)
+            score = canonical_edge_count(Counter(assignment), edges) - g.num_edges
+            signature = tuple(tuple(block) for block in blocks)
+            if best is None or (score, signature) < (best[0], best[1]):
+                best = (score, signature, assignment, edges)
+            return
+        # restricted growth: reuse any existing block, or open block
+        # nblocks (only while the block budget allows)
+        for b in range(nblocks):
+            extend(assignment + [b], nblocks)
+        if nblocks < k:
+            extend(assignment + [nblocks], nblocks + 1)
+
+    extend([], 0)
+    _, _, assignment, edges = best
+    return SummaryDag.from_partition(g, order, dict(zip(order, assignment)), edges)

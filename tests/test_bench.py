@@ -10,6 +10,7 @@ from causalsumm import (
     CycleError,
     Dag,
     GenSpec,
+    GraphError,
     SizeLimitError,
     ValidationError,
     additional_edges,
@@ -26,7 +27,8 @@ from causalsumm import (
 )
 from causalsumm.fixtures import redshift, redshift_missing_edge
 from causalsumm.graph_core import topological_order
-from oracles import all_set_partitions, partition_summary
+from oracles import all_set_partitions, partition_summary, reference_brute_force_summarize
+from test_cagres import random_dags
 
 
 class TestGenRandomDag:
@@ -103,6 +105,32 @@ class TestBruteForce:
                     continue
                 scores.append(canonical(h).num_edges - g.num_edges)
             assert additional_edges(brute_force_summarize(g, k)) == min(scores)
+
+
+def _brute_force_outcome(summarize, g, k):
+    try:
+        h = summarize(g, k)
+    except GraphError as exc:
+        return type(exc)
+    return h.mapping, h.quotient.nodes, h.quotient.edges
+
+
+class TestBruteForceMatchesThePlainSearch:
+    @settings(max_examples=40, deadline=None)
+    @given(random_dags(max_nodes=8))
+    def test_every_budget(self, g):
+        for k in range(1, g.num_nodes + 1):
+            assert _brute_force_outcome(brute_force_summarize, g, k) == _brute_force_outcome(
+                reference_brute_force_summarize, g, k
+            ), k
+
+    def test_ten_nodes_at_the_size_guard(self):
+        g = gen_random_dag(GenSpec(n=10, density=0.35, seed=3))
+        h = brute_force_summarize(g, 5)
+        assert sorted(h.quotient.nodes) == ["X01X02", "X03X04X05", "X06X08X09", "X07", "X10"]
+        assert additional_edges(h) == 8
+        outcome = h.mapping, h.quotient.nodes, h.quotient.edges
+        assert outcome == _brute_force_outcome(reference_brute_force_summarize, g, 5)
 
 
 class TestRandomSummarize:

@@ -20,6 +20,7 @@ from causalsumm import (
     trivial_summary,
 )
 from causalsumm.cagres import _Engine
+from causalsumm.summary import cluster_labels
 from conftest import dags
 from oracles import (
     canonical_delta,
@@ -56,6 +57,22 @@ def random_dags(draw, max_nodes=30):
         for i in range(n)
         for j in range(i + 1, n)
         if rng.random() < density
+    ]
+    return Dag(labels, edges)
+
+
+@st.composite
+def hashed_dags(draw, max_nodes=12):
+    """A random DAG whose i-th label is a run of i "1"s, some with a "#"
+    suffix ("1", "11#", "111", "1111#2", ...): merged labels often equal
+    node labels, and node labels can contain "#" and equal suffixed labels."""
+    n = draw(st.integers(1, max_nodes))
+    suffixes = st.sampled_from(["", "", "", "#", "#2"])
+    labels = ["1" * (i + 1) + draw(suffixes) for i in range(n)]
+    order = draw(st.permutations(labels))
+    rng = draw(st.randoms(use_true_random=False))
+    edges = [
+        (order[i], order[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3
     ]
     return Dag(labels, edges)
 
@@ -132,6 +149,21 @@ class TestEngine:
         engine.merge(b, c)  # now A -> BC -> D -> E
         assert not engine.acyclic(a, d) and not engine.acyclic(a, e)
         assert engine.acyclic(a, b) and engine.acyclic(d, e)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(random_dags(max_nodes=20), hashed_dags()), st.randoms(use_true_random=False))
+    def test_labels_follow_cluster_labels_after_every_merge(self, g, rng):
+        engine = _Engine.of_graph(g)
+        while True:
+            first, second = engine.valid_pairs()
+            if not len(first):
+                break
+            pick = rng.randrange(len(first))
+            engine.merge(int(first[pick]), int(second[pick]))
+            live = sorted(engine.alive, key=lambda x: engine.position[engine.members[x][0]])
+            labels = [engine.labels[x] for x in live]
+            assert labels == cluster_labels(engine.members[x] for x in live)
+            assert engine.ids == dict(zip(labels, live))
 
 
 class TestSummarize:

@@ -51,6 +51,20 @@ class TestDagFiles:
         with pytest.raises(ParseError, match="version"):
             load_dag(path)
 
+    @pytest.mark.parametrize("version", ["true", "1.0", '"1"'])
+    def test_version_must_be_the_integer_one(self, h1, tmp_path, version):
+        path = tmp_path / "g.json"
+        path.write_text(f'{{"version": {version}, "nodes": ["A"], "edges": []}}')
+        with pytest.raises(ParseError, match="version"):
+            load_dag(path)
+        from causalsumm.cli_io import summary_to_doc
+
+        doc = summary_to_doc(h1)
+        doc["version"] = json.loads(version)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="version"):
+            load_summary(path)
+
     def test_json_syntax_errors_carry_a_position(self, tmp_path):
         path = tmp_path / "g.json"
         path.write_text('{"version": 1,\n  "nodes": [}')
@@ -290,6 +304,58 @@ class TestCliErrors:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+class TestParserReuse:
+    def test_interleaved_calls_match_a_fresh_parser(self, fixtures_dir, tmp_path):
+        # one parser serves every cli() call in a process; no default, flag or
+        # error state may carry over from one call to the next
+        from causalsumm import trivial_summary
+        from causalsumm.cli_io import _build_parser
+
+        g1, out = str(fixtures_dir / "g1.json"), tmp_path / "out.json"
+        # R3 applies with the x-mutilated ancestor sets and not without them
+        cut = tmp_path / "cut.json"
+        save_summary(
+            trivial_summary(Dag("UZXWY", [("U", "Z"), ("U", "Y"), ("Z", "X"), ("X", "W")])),
+            cut,
+        )
+        r3 = ["docalc", "--in", cut, "--rule", "r3", "--y", "Y", "--z", "Z", "--x", "X",
+              "--w", "W"]
+        sim = tmp_path / "sim.csv"
+        sim.write_text(",A,B,C,D,E\nA,1,1,1,1,1\nB,1,1,0.5,1,1\nC,1,0.5,1,1,1\n"
+                       "D,1,1,1,1,1\nE,1,1,1,1,1\n")
+        summarize = ["summarize", "--in", g1, "--k", "4", "--out", out]
+        calls = [
+            r3 + ["--no-zw-in-hbar"],
+            r3,
+            summarize + ["--similarity", sim, "--tau", "0.8"],
+            summarize,
+            ["summarize", "--in", g1, "--k", "four", "--out", out],
+            ["rb", "--in", g1],
+        ]
+
+        def run(argv):
+            out.unlink(missing_ok=True)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli([str(a) for a in argv])
+            written = out.read_bytes() if out.exists() else None
+            return code, stdout.getvalue(), stderr.getvalue(), written
+
+        parser = _build_parser()
+        shared = [run(argv) for argv in calls]
+        assert _build_parser() is parser
+        fresh = []
+        for argv in calls:
+            _build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert shared == fresh
+        assert [code for code, *_ in shared] == [0, 0, 0, 0, 2, 0]
+        assert shared[0][1] == "NOT-APPLICABLE CONNECTED\n"
+        assert shared[1][1] == "APPLIES SEPARATED\n"
+        assert shared[2][3] != shared[3][3]  # the similarity keeps B and C apart
+        assert "usage:" in shared[4][2]
+
+
 def test_console_script(fixtures_dir):
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
@@ -375,12 +441,13 @@ class TestLoaderFuzz:
              "--out", folder / "h.json"],
         ]
         for argv in runs:
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli([str(a) for a in argv])
             assert code in (0, 1)
             assert "Traceback" not in err.getvalue()
-            if code:
+            # query exits 1 to answer CONNECTED on a file that is still valid
+            if code and out.getvalue() != "CONNECTED\n":
                 assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
 
     @pytest.mark.parametrize(

@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalsumm import (
+    Dag,
     DoQuery,
     SeparationQuery,
     UnknownNodeError,
@@ -10,13 +11,14 @@ from causalsumm import (
     adjustment_set,
     canonical,
     d_separated,
+    is_compatible,
     mutilate,
     rule_applies,
     s_separated,
     trivial_summary,
 )
 from conftest import dags
-from oracles import reordered_canonical
+from oracles import all_dags, compatible_dags, reordered_canonical, satisfies_backdoor
 from test_summary import _random_mutilation, _random_summary
 
 
@@ -83,8 +85,6 @@ class TestRuleApplies:
         # z(w) = {Z} and U -> Z is cut too, separating Y from Z.
         # Literal reading: Z stays an ancestor of W, z(w) is empty, and
         # the backdoor Z <- U -> Y stays open.
-        from causalsumm import Dag
-
         g = Dag("UZXWY", [("U", "Z"), ("U", "Y"), ("Z", "X"), ("X", "W")])
         h = trivial_summary(g)
         q = DoQuery(y={"Y"}, z={"Z"}, x={"X"}, w={"W"})
@@ -110,13 +110,28 @@ class TestRuleApplies:
 
 class TestAdjustmentSet:
     def test_grounded_cluster_parents(self, h1):
-        assert adjustment_set(h1, "B", "E") == {"A"}
+        # D's one quotient parent is BC, grounded to its members
+        assert adjustment_set(h1, "D", "E") == {"B", "C"}
 
     def test_trivial_summary_gives_plain_parents(self, g1):
         assert adjustment_set(trivial_summary(g1), "D", "E") == {"B", "C"}
 
-    def test_root_cluster_member_needs_nothing(self, h3):
-        assert adjustment_set(h3, "A", "E") == frozenset()
+    def test_root_cluster_member_needs_nothing(self, h1):
+        assert adjustment_set(h1, "A", "E") == frozenset()
+
+    def test_treatment_sharing_its_cluster_is_refused(self, h1, h3):
+        # {A} was returned for B in BC, but C -> B, C -> D opens B <- C -> D -> E;
+        # the empty set was returned for A in ABC
+        with pytest.raises(ValidationError, match="shares cluster"):
+            adjustment_set(h1, "B", "E")
+        with pytest.raises(ValidationError, match="shares cluster"):
+            adjustment_set(h3, "A", "E")
+
+    def test_outcome_in_a_parent_cluster_is_refused(self, g1, h1):
+        with pytest.raises(ValidationError, match="parent cluster"):
+            adjustment_set(h1, "D", "B")
+        with pytest.raises(ValidationError, match="parent cluster"):
+            adjustment_set(trivial_summary(g1), "B", "A")
 
     def test_validation(self, h1):
         with pytest.raises(UnknownNodeError):
@@ -137,19 +152,58 @@ class TestAdjustmentSet:
         nodes = sorted(g.node_set)
         t = rng.choice(nodes)
         o = rng.choice([v for v in nodes if v != t])
+        parents = h.quotient.parents(h.cluster_of(t))
+        if h.cluster_size(h.cluster_of(t)) > 1 or h.cluster_of(o) in parents:
+            with pytest.raises(ValidationError):
+                adjustment_set(h, t, o)
+            return
         adj = adjustment_set(h, t, o)
-        assert t not in adj
+        assert t not in adj and o not in adj
         reordered = reordered_canonical(h, t)
         assert not (adj & (reordered.descendants({t}) - {t}))
 
     @given(dags(min_nodes=2, max_nodes=7), st.randoms(use_true_random=False))
     def test_matches_reordered_canonical_parents(self, g, rng):
         h = _random_summary(g, rng)
-        nodes = sorted(g.node_set)
         for s in (h, _random_mutilation(h, rng)):
-            for t in nodes:
-                o = rng.choice([v for v in nodes if v != t])
-                assert adjustment_set(s, t, o) == reordered_canonical(s, t).parents(t)
+            for t in sorted(g.node_set):
+                if s.cluster_size(s.cluster_of(t)) > 1:
+                    continue
+                parents = reordered_canonical(s, t).parents(t)
+                outcomes = sorted(g.node_set - parents - {t})
+                if outcomes:
+                    o = rng.choice(outcomes)
+                    assert adjustment_set(s, t, o) == parents
+
+    @settings(max_examples=60, deadline=None)
+    @given(dags(min_nodes=2, max_nodes=5), st.randoms(use_true_random=False))
+    def test_sound_in_every_compatible_dag(self, g, rng):
+        # every returned set satisfies the backdoor criterion in every DAG
+        # the (unmutilated) summary stands for
+        h = _random_summary(g, rng)
+        nodes = sorted(g.node_set)
+        t = rng.choice(nodes)
+        o = rng.choice([v for v in nodes if v != t])
+        try:
+            adj = adjustment_set(h, t, o)
+        except ValidationError:
+            return
+        for labels, edges in compatible_dags(h):
+            assert satisfies_backdoor(labels, edges, t, o, adj), (edges, t, o, adj)
+
+    @settings(max_examples=15, deadline=None)
+    @given(dags(min_nodes=1, max_nodes=4), st.randoms(use_true_random=False))
+    def test_compatible_dags_are_the_compatible_filter(self, g, rng):
+        # the oracle's product enumeration equals filtering every labeled
+        # DAG by is_compatible
+        h = _random_summary(g, rng)
+        expected = {
+            frozenset(edges)
+            for labels, edges in all_dags(g.nodes)
+            if is_compatible(Dag(labels, edges), h)
+        }
+        found = [frozenset(edges) for _, edges in compatible_dags(h)]
+        assert len(found) == len(set(found)) and set(found) == expected
 
     def test_canonical_agreement_for_singleton_clusters(self, g1, h1):
         # when t's cluster is a singleton the reordering is the identity,
