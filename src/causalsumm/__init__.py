@@ -37,10 +37,9 @@ from .graph_core import (
     SizeLimitError,
     UnknownNodeError,
     ValidationError,
-    has_directed_path_len_ge2,
     topological_order,
 )
-from .separation import SeparationQuery, d_separated, d_separated_oracle, s_separated
+from .separation import SeparationQuery, d_separated, s_separated
 from .summary import (
     CiStatement,
     RecursiveBasis,
@@ -85,11 +84,9 @@ __all__ = [
     "compare",
     "contract",
     "d_separated",
-    "d_separated_oracle",
     "gen_random_dag",
     "get_cost",
     "ground_ci",
-    "has_directed_path_len_ge2",
     "implication_percentage",
     "is_compatible",
     "is_valid_pair",

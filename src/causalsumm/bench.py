@@ -38,6 +38,13 @@ class GenSpec:
             raise ValidationError(f"n must be >= 1, got {self.n}")
         if not 0.0 <= self.density <= 1.0:
             raise ValidationError(f"density must lie in [0, 1], got {self.density}")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed):
+    # numpy Generators refuse negative seeds with a bare ValueError
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -171,6 +178,7 @@ def random_summarize(g, k, seed=0):
     """
     if not 1 <= k <= g.num_nodes:
         raise ValidationError(f"infeasible k={k} for {g.num_nodes} nodes")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     engine = _Engine.of_graph(g)
     while len(engine.alive) > k:
@@ -221,6 +229,7 @@ def perturb(g, add, remove, seed=0):
     """
     if add < 0 or remove < 0:
         raise ValidationError("add and remove must be non-negative")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
 
     edges = sorted(g.edges)

@@ -69,6 +69,8 @@ def _load_json(path):
         return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except RecursionError:
+        raise ParseError("document is nested too deeply") from None
 
 
 def _require(condition, message):
@@ -243,14 +245,11 @@ def _summary_from_doc(doc):
         for v in members:
             _require(v not in mapping, f"node {v!r} appears in two clusters")
             mapping[v] = label
+    # a mutilated summary skips edge preservation, so only JSON true may say so
+    mutilated = doc.get("mutilated", False)
+    _require(type(mutilated) is bool, "'mutilated' must be true or false")
     quotient = Dag(list(clusters), edges)
-    return SummaryDag(
-        base,
-        quotient,
-        mapping,
-        doc["base_order"],
-        mutilated=bool(doc.get("mutilated", False)),
-    )
+    return SummaryDag(base, quotient, mapping, doc["base_order"], mutilated=mutilated)
 
 
 def summary_to_doc(h):

@@ -94,7 +94,7 @@ class Dag:
     ['B', 'D', 'E']
     """
 
-    __slots__ = ("_order", "_nodes", "_edges", "_parents", "_children", "_desc_map")
+    __slots__ = ("_order", "_nodes", "_edges", "_parents", "_children")
 
     def __init__(self, nodes, edges=()):
         order = []
@@ -126,7 +126,6 @@ class Dag:
         self._edges = frozenset(edge_set)
         self._parents = {v: frozenset(ps) for v, ps in parents.items()}
         self._children = {v: frozenset(cs) for v, cs in children.items()}
-        self._desc_map = None
         self._raise_if_cyclic()
 
     # === structure ===
@@ -231,19 +230,6 @@ class Dag:
                 raise UnknownNodeError(v)
         return members
 
-    def _descendants_map(self):
-        # One reflexive descendant set per node, filled once per graph by a
-        # reverse-topological sweep; safe because the graph never mutates.
-        if self._desc_map is None:
-            desc = {}
-            for v in reversed(topological_order(self)):
-                acc = {v}
-                for child in self._children[v]:
-                    acc.update(desc[child])
-                desc[v] = frozenset(acc)
-            self._desc_map = desc
-        return self._desc_map
-
     def _raise_if_cyclic(self):
         indegree = {v: len(self._parents[v]) for v in self._order}
         queue = deque(v for v in self._order if indegree[v] == 0)
@@ -295,25 +281,3 @@ def topological_order(g):
             if indegree[child] == 0:
                 heapq.heappush(ready, child)
     return tuple(order)
-
-
-def has_directed_path_len_ge2(g, u, v):
-    """True iff a directed path of at least two edges runs u→…→v or v→…→u.
-
-    A single direct edge does not count. This is exactly the condition
-    under which contracting {u, v} would create a directed cycle, so the
-    summarizer uses it as its validity guard.
-    """
-    if u == v:
-        raise ValidationError("has_directed_path_len_ge2 needs two distinct nodes")
-    if u not in g.node_set:
-        raise UnknownNodeError(u)
-    if v not in g.node_set:
-        raise UnknownNodeError(v)
-    desc = g._descendants_map()
-    for a, b in ((u, v), (v, u)):
-        # a -> w ~> b with w != b is precisely a path of >= 2 edges
-        for w in g.children(a):
-            if w != b and b in desc[w]:
-                return True
-    return False

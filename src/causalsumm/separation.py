@@ -1,23 +1,17 @@
 """d-separation over DAGs and s-separation over summary DAGs.
 
 ``d_separated`` is the workhorse (linear-time reachability over edge
-orientations). ``d_separated_oracle`` re-decides the same queries by
-brute-force trail enumeration and exists so tests can cross-check the
-fast path against the textbook definition. ``s_separated`` answers a
-query over cluster labels with ``d_separated`` on the summary's quotient
-DAG; its definition, d-separation of the grounded query in the canonical
-causal DAG, is kept as a test oracle.
+orientations); the tests cross-check it against a trail-enumeration
+oracle of the textbook definition (``tests/oracles.py``). ``s_separated``
+answers a query over cluster labels with ``d_separated`` on the summary's
+quotient DAG; its definition, d-separation of the grounded query in the
+canonical causal DAG, is kept as a test oracle.
 """
 
 from collections import deque
 from dataclasses import dataclass, field
 
-from .graph_core import (
-    Dag,
-    SizeLimitError,
-    UnknownNodeError,
-    ValidationError,
-)
+from .graph_core import Dag, UnknownNodeError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -70,8 +64,8 @@ def d_separated(g, query):
     head-to-head node is outside z with no descendant in z.
 
     Decided by ball-passing reachability over (node, arrival-direction)
-    states rather than trail enumeration; ``d_separated_oracle`` is the
-    slow reference implementation.
+    states rather than trail enumeration; the slow reference, which
+    enumerates trails, is a test oracle in ``tests/oracles.py``.
 
     >>> g = Dag("ABCDE", [("A","B"), ("A","C"), ("B","D"), ("C","D"), ("D","E")])
     >>> d_separated(g, SeparationQuery({"B"}, {"C"}, {"A"}))
@@ -113,52 +107,6 @@ def d_separated(g, query):
             if v in opened:
                 for parent in g.parents(v):
                     frontier.append((parent, _UP))
-    return True
-
-
-def d_separated_oracle(g, query):
-    """Trail-enumeration reference for ``d_separated`` (small graphs only).
-
-    Enumerates every simple trail between x and y and applies the blocking
-    rules to each interior node verbatim. Exponential; guarded to 12 nodes.
-    """
-    if g.num_nodes > 12:
-        raise SizeLimitError(
-            f"oracle is exponential; refusing {g.num_nodes} nodes (limit 12)"
-        )
-    _check_members(g, query)
-    x, y, z = query.x, query.y, query.z
-
-    adjacency = {v: sorted(g.parents(v) | g.children(v)) for v in g.nodes}
-
-    def trails_from(start):
-        # all simple trails start..(first y hit); stopping at the first hit
-        # is complete, since a blocked prefix blocks every extension of it
-        stack = [(start, [start], {start})]
-        while stack:
-            v, trail, on_trail = stack.pop()
-            if v in y:
-                yield trail
-                continue
-            for nb in adjacency[v]:
-                if nb not in on_trail:
-                    stack.append((nb, trail + [nb], on_trail | {nb}))
-
-    def is_active(trail):
-        for i in range(1, len(trail) - 1):
-            prev, v, nxt = trail[i - 1], trail[i], trail[i + 1]
-            if g.has_edge(prev, v) and g.has_edge(nxt, v):
-                # head-to-head: needs v or a descendant of v inside z
-                if not (g.descendants({v}) & z):
-                    return False
-            elif v in z:
-                return False
-        return True
-
-    for start in sorted(x):
-        for trail in trails_from(start):
-            if is_active(trail):
-                return False
     return True
 
 

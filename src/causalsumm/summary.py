@@ -3,8 +3,8 @@
 A summary DAG groups the nodes of a causal DAG ("the base") into clusters
 and keeps a quotient DAG over cluster labels. This module provides the
 operations the rest of the package builds on: building a summary from a
-partition, node contraction (with the directed-path-of-length-≥-2 cycle
-guard), compatibility checking, the canonical causal DAG a summary stands
+partition, node contraction (refused when it would close a directed
+cycle), compatibility checking, the canonical causal DAG a summary stands
 for, recursive-basis extraction, and the edge-mutilation operators used
 by interventional queries.
 
@@ -19,7 +19,6 @@ from .graph_core import (
     Dag,
     UnknownNodeError,
     ValidationError,
-    has_directed_path_len_ge2,
     topological_order,
 )
 
@@ -257,8 +256,9 @@ def contract(h, a, b):
     Every cluster of the result, the merged one included, is labeled from
     its members (see ``cluster_labels``).
     Raises ``CycleError`` exactly when the quotient has a directed path of
-    at least two edges between ``a`` and ``b`` (in either direction) — the
-    contracted graph would then contain a directed cycle.
+    at least two edges between ``a`` and ``b`` (in either direction): the
+    contracted quotient then contains a directed cycle, which its own
+    ``Dag`` acyclicity check reports.
 
     >>> g = Dag("ABCDE", [("A","B"), ("A","C"), ("B","D"), ("C","D"), ("D","E")])
     >>> h1 = contract(trivial_summary(g), "B", "C")
@@ -274,20 +274,21 @@ def contract(h, a, b):
     for label in (a, b):
         if label not in h.quotient.node_set:
             raise UnknownNodeError(label)
-    if has_directed_path_len_ge2(h.quotient, a, b):
-        raise CycleError(
-            message=f"contracting {a} and {b} creates a directed cycle: "
-            "they are joined by a directed path of length >= 2"
-        )
 
     def block(label):
         return a if label == b else label
 
     block_of = {v: block(label) for v, label in h.mapping.items()}
     edges = {(block(u), block(v)) for u, v in h.quotient.edges} - {(a, a)}
-    return SummaryDag.from_partition(
-        h.base, h.base_order, block_of, edges, mutilated=h.mutilated
-    )
+    try:
+        return SummaryDag.from_partition(
+            h.base, h.base_order, block_of, edges, mutilated=h.mutilated
+        )
+    except CycleError:
+        raise CycleError(
+            message=f"contracting {a} and {b} creates a directed cycle: "
+            "they are joined by a directed path of length >= 2"
+        ) from None
 
 
 def is_compatible(g, h):

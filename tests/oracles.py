@@ -22,6 +22,87 @@ def nx_d_separated(g, x, y, z):
     return nx.is_d_separator(to_nx(g), set(x), set(y), set(z))
 
 
+def d_separated_oracle(g, query):
+    """Trail-enumeration reference for ``d_separated`` (small graphs only).
+
+    Enumerates every simple trail between x and y and applies the blocking
+    rules to each interior node verbatim. Exponential; guarded to 12 nodes.
+    """
+    from causalsumm import SizeLimitError, UnknownNodeError
+
+    if g.num_nodes > 12:
+        raise SizeLimitError(
+            f"oracle is exponential; refusing {g.num_nodes} nodes (limit 12)"
+        )
+    for v in query.members():
+        if v not in g.node_set:
+            raise UnknownNodeError(v)
+    x, y, z = query.x, query.y, query.z
+
+    adjacency = {v: sorted(g.parents(v) | g.children(v)) for v in g.nodes}
+
+    def trails_from(start):
+        # all simple trails start..(first y hit); stopping at the first hit
+        # is complete, since a blocked prefix blocks every extension of it
+        stack = [(start, [start], {start})]
+        while stack:
+            v, trail, on_trail = stack.pop()
+            if v in y:
+                yield trail
+                continue
+            for nb in adjacency[v]:
+                if nb not in on_trail:
+                    stack.append((nb, trail + [nb], on_trail | {nb}))
+
+    def is_active(trail):
+        for i in range(1, len(trail) - 1):
+            prev, v, nxt = trail[i - 1], trail[i], trail[i + 1]
+            if g.has_edge(prev, v) and g.has_edge(nxt, v):
+                # head-to-head: needs v or a descendant of v inside z
+                if not (g.descendants({v}) & z):
+                    return False
+            elif v in z:
+                return False
+        return True
+
+    for start in sorted(x):
+        for trail in trails_from(start):
+            if is_active(trail):
+                return False
+    return True
+
+
+_last_descendants = (None, None)
+
+
+def _reflexive_descendants(g):
+    # kept for the last graph asked about, matched by identity: callers ask
+    # about many pairs of one quotient in a row, and comparing equal but
+    # distinct graphs would cost more than the map
+    global _last_descendants
+    if _last_descendants[0] is not g:
+        desc = {}
+
+        def visit(v):
+            if v not in desc:
+                desc[v] = frozenset({v}).union(*(visit(c) for c in g.children(v)))
+            return desc[v]
+
+        for v in g.nodes:
+            visit(v)
+        _last_descendants = (g, desc)
+    return _last_descendants[1]
+
+
+def has_long_path(g, u, v):
+    """True iff a directed path of at least two edges runs u→…→v or v→…→u:
+    some child w of one end, other than the far end, reaches the far end."""
+    desc = _reflexive_descendants(g)
+    return any(
+        far in desc[w] for near, far in ((u, v), (v, u)) for w in g.children(near) if w != far
+    )
+
+
 def naive_contraction_is_cyclic(g, a, b):
     """Merge a and b in a networkx graph and look for a directed cycle.
 
@@ -94,6 +175,57 @@ def satisfies_backdoor(labels, edges, t, o, z):
     return nx.is_d_separator(graph, {t}, {o}, set(z))
 
 
+def _ancestral(edges, seeds):
+    """``seeds`` and every node with a directed path into one of them."""
+    parents = {}
+    for u, v in edges:
+        parents.setdefault(v, []).append(u)
+    found, stack = set(), list(seeds)
+    while stack:
+        v = stack.pop()
+        if v not in found:
+            found.add(v)
+            stack.extend(parents.get(v, ()))
+    return found
+
+
+def moral_d_separated(edges, x, y, z):
+    """d-separation by the moralization criterion (Lauritzen et al. 1990):
+    z separates x from y in the moral graph of the ancestral set of x ∪ y ∪ z."""
+    x, y, z = set(x), set(y), set(z)
+    keep = _ancestral(edges, x | y | z)
+    parents = {v: set() for v in keep}
+    for u, v in edges:
+        if v in keep:
+            parents[v].add(u)
+    neighbours = {v: set(ps) for v, ps in parents.items()}
+    for v, ps in parents.items():
+        for p in ps:
+            neighbours[p] |= ps - {p} | {v}
+    reached, stack = set(x), list(x)
+    while stack:
+        for u in neighbours[stack.pop()] - z - reached:
+            if u in y:
+                return False
+            reached.add(u)
+            stack.append(u)
+    return True
+
+
+def grounded_rule_holds(edges, rule, x, y, z, w):
+    """Pearl's do-calculus rule over base-variable sets in one DAG: y ⊥ z |
+    x ∪ w once edges into x (and, for R2, out of z; for R3, into the z
+    nodes that are not ancestors of w in the x-barred graph) are removed
+    (Pearl 2009, §3.4)."""
+    kept = [(u, v) for u, v in edges if v not in x]
+    if rule == "R2":
+        kept = [(u, v) for u, v in kept if u not in z]
+    if rule == "R3":
+        barred = z - _ancestral(kept, w)
+        kept = [(u, v) for u, v in kept if v not in barred]
+    return moral_d_separated(kept, y, z, x | w)
+
+
 def canonical_delta(h, a, b):
     """The merge cost defined the slow way: contract, then count new edges."""
     from causalsumm import canonical, contract
@@ -159,9 +291,7 @@ def partition_summary(g, order, blocks):
 def reference_valid(h, a, b, similarity=None):
     """Pair validity the definitional way: the path check on the quotient
     ``Dag``, then every cross-member similarity."""
-    from causalsumm import has_directed_path_len_ge2
-
-    if has_directed_path_len_ge2(h.quotient, a, b):
+    if has_long_path(h.quotient, a, b):
         return False
     if similarity is None:
         return True

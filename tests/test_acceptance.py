@@ -25,7 +25,6 @@ from causalsumm import (
     canonical,
     contract,
     d_separated,
-    d_separated_oracle,
     gen_random_dag,
     get_cost,
     ground_ci,
@@ -41,6 +40,7 @@ from causalsumm import fixtures
 from causalsumm.cli_io import cli
 from oracles import (
     all_dags,
+    d_separated_oracle,
     naive_contraction_is_cyclic,
     partition_summary,
     reference_summarize,

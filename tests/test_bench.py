@@ -38,6 +38,16 @@ class TestGenRandomDag:
         with pytest.raises(ValidationError):
             GenSpec(n=3, density=1.5)
 
+    def test_negative_seeds_are_validation_errors(self, g1):
+        # numpy would raise a bare ValueError for each of these
+        message = "seed must be >= 0, got -1"
+        with pytest.raises(ValidationError, match=message):
+            GenSpec(n=5, density=0.5, seed=-1)
+        with pytest.raises(ValidationError, match=message):
+            perturb(g1, 1, 1, seed=-1)
+        with pytest.raises(ValidationError, match=message):
+            random_summarize(g1, 3, seed=-1)
+
     def test_density_extremes(self):
         empty = gen_random_dag(GenSpec(n=6, density=0.0, seed=1))
         full = gen_random_dag(GenSpec(n=6, density=1.0, seed=1))

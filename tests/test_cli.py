@@ -277,6 +277,19 @@ class TestCliErrors:
         assert code == 1
         assert "k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--n", "5", "--density", "0.5", "--seed", "-1"],
+            ["perturb", "--in", "g1.json", "--add", "1", "--remove", "1", "--seed", "-1"],
+        ],
+    )
+    def test_negative_seed_exits_1(self, fixtures_dir, tmp_path, capsys, argv):
+        argv = [str(fixtures_dir / a) if a.endswith(".json") else a for a in argv]
+        assert cli(argv + ["--out", str(tmp_path / "g.json")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: seed must be >= 0, got -1\n"
+
     def test_parse_errors_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.dot"
         bad.write_text("digraph {\n  A -> B\n}\n")
@@ -289,6 +302,10 @@ class TestCliErrors:
             ("edges", [["A", "BC"], "x"]),
             ("edges", "x"),
             ("base_order", "ABCDE"),
+            # a mutilated summary skips edge preservation: only JSON true counts
+            ("mutilated", "false"),
+            ("mutilated", 0),
+            ("mutilated", None),
         ],
     )
     def test_malformed_summary_exits_1(self, h1, tmp_path, capsys, field, value):
@@ -449,6 +466,18 @@ class TestLoaderFuzz:
             # query exits 1 to answer CONNECTED on a file that is still valid
             if code and out.getvalue() != "CONNECTED\n":
                 assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+    def test_deeply_nested_json_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        for load in (load_dag, load_summary):
+            with pytest.raises(ParseError, match="nested too deeply"):
+                load(path)
+        for argv in (["rb", "--in", path], ["canonical", "--in", path, "--out", tmp_path / "c.json"],
+                     ["query", "--in", path, "--mode", "ssep", "--x", "A", "--y", "E"]):
+            assert cli([str(a) for a in argv]) == 1
+            err = capsys.readouterr().err
+            assert err == "error: document is nested too deeply\n"
 
     @pytest.mark.parametrize(
         "doc",

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,13 @@ from causalsumm import (
     trivial_summary,
 )
 from conftest import dags
-from oracles import all_dags, compatible_dags, reordered_canonical, satisfies_backdoor
+from oracles import (
+    all_dags,
+    compatible_dags,
+    grounded_rule_holds,
+    reordered_canonical,
+    satisfies_backdoor,
+)
 from test_summary import _random_mutilation, _random_summary
 
 
@@ -106,6 +114,32 @@ class TestRuleApplies:
             assert d_separated(
                 base_cut, SeparationQuery(h.members(y), h.members(z))
             )
+
+    @settings(max_examples=20, deadline=None)
+    @given(dags(min_nodes=3, max_nodes=5), st.randoms(use_true_random=False))
+    def test_sound_in_every_compatible_dag(self, g, rng):
+        # a positive answer holds when the rule is grounded in every DAG the
+        # (unmutilated) summary stands for; both readings of R3 ground to
+        # Pearl's, which takes z(w) in the x-barred DAG
+        h = _random_summary(g, rng)
+        labels = sorted(h.quotient.nodes)
+        if len(labels) < 2:
+            return
+        positives = set()
+        for y, z in permutations(labels, 2):
+            rest = [c for c in labels if c not in (y, z)]
+            x = {c for c in rest if rng.random() < 0.25}
+            w = {c for c in rest if c not in x and rng.random() < 0.5}
+            q = DoQuery(y={y}, z={z}, x=x, w=w)
+            grounded = [frozenset().union(*map(h.members, s)) for s in (q.x, q.y, q.z, q.w)]
+            for rule, zw_in_hbar in (("R1", True), ("R2", True), ("R3", True), ("R3", False)):
+                if rule_applies(h, rule, q, zw_in_hbar=zw_in_hbar):
+                    positives.add((rule, *grounded))
+        if not positives:
+            return
+        for _, edges in compatible_dags(h):
+            for positive in positives:
+                assert grounded_rule_holds(edges, *positive), (edges, positive)
 
 
 class TestAdjustmentSet:

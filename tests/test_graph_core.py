@@ -8,11 +8,12 @@ from causalsumm import (
     DuplicateEdgeError,
     UnknownNodeError,
     ValidationError,
-    has_directed_path_len_ge2,
+    contract,
     topological_order,
+    trivial_summary,
 )
 from conftest import dags
-from oracles import naive_contraction_is_cyclic
+from oracles import has_long_path, naive_contraction_is_cyclic
 
 
 class TestDagConstruction:
@@ -79,22 +80,34 @@ class TestStructuralQueries:
 
 
 class TestDirectedPathLen2:
+    # contracting u and v closes a cycle exactly when a directed path of two
+    # or more edges joins them; contract leaves that to the quotient's own
+    # acyclicity check, over arbitrary labels here
     def test_direct_edge_is_not_a_long_path(self, g1):
-        assert not has_directed_path_len_ge2(g1, "D", "E")
+        assert not has_long_path(g1, "D", "E")
+        assert contract(trivial_summary(g1), "D", "E").members("DE") == {"D", "E"}
 
     def test_two_edge_path_detected_both_directions(self, g1):
-        assert has_directed_path_len_ge2(g1, "A", "D")
-        assert has_directed_path_len_ge2(g1, "D", "A")
+        h = trivial_summary(g1)
+        for u, v in (("A", "D"), ("D", "A")):
+            assert has_long_path(g1, u, v)
+            with pytest.raises(CycleError, match=f"contracting {u} and {v} creates a directed cycle"):
+                contract(h, u, v)
 
     def test_same_node_rejected(self, g1):
         with pytest.raises(ValidationError):
-            has_directed_path_len_ge2(g1, "A", "A")
+            contract(trivial_summary(g1), "A", "A")
 
     @given(dags(min_nodes=2, max_nodes=6))
     def test_matches_naive_contraction_oracle(self, g):
+        h = trivial_summary(g)
         nodes = sorted(g.node_set)
         for i, u in enumerate(nodes):
             for v in nodes[i + 1 :]:
-                assert has_directed_path_len_ge2(g, u, v) == (
-                    naive_contraction_is_cyclic(g, u, v)
-                )
+                cyclic = naive_contraction_is_cyclic(g, u, v)
+                assert has_long_path(g, u, v) == cyclic
+                try:
+                    contract(h, u, v)
+                    assert not cyclic
+                except CycleError:
+                    assert cyclic

@@ -9,12 +9,16 @@ from causalsumm import (
     UnknownNodeError,
     ValidationError,
     d_separated,
-    d_separated_oracle,
     s_separated,
     trivial_summary,
 )
 from conftest import dags
-from oracles import canonical_s_separated, nx_d_separated
+from oracles import (
+    canonical_s_separated,
+    d_separated_oracle,
+    moral_d_separated,
+    nx_d_separated,
+)
 from test_summary import _random_mutilation, _random_summary
 
 
@@ -70,6 +74,12 @@ class TestDSeparation:
     def test_reachability_matches_networkx(self, g, data):
         query = _draw_query(data, g)
         assert d_separated(g, query) == nx_d_separated(g, query.x, query.y, query.z)
+
+    @given(dags(min_nodes=2, max_nodes=7), st.data())
+    def test_moralization_oracle_matches_networkx(self, g, data):
+        query = _draw_query(data, g)
+        expected = nx_d_separated(g, query.x, query.y, query.z)
+        assert moral_d_separated(g.edges, query.x, query.y, query.z) == expected
 
     @given(dags(min_nodes=2, max_nodes=6), st.data())
     def test_symmetry(self, g, data):
