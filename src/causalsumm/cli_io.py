@@ -22,7 +22,6 @@ from .graph_core import Dag, GraphError, ValidationError, topological_order
 from .separation import SeparationQuery, d_separated, s_separated
 from .summary import (
     SummaryDag,
-    canonical,
     ground_ci,
     recursive_basis,
     summary_recursive_basis,
@@ -115,7 +114,9 @@ def _dag_to_doc(g):
 
 # --- the DOT subset -------------------------------------------------------
 
-_DOT_TOKEN = re.compile(r'"[^"\n]*"|->|[{};]|[A-Za-z0-9_.]+')
+# a quoted identifier escapes its backslashes and double quotes
+_DOT_TOKEN = re.compile(r'"(?:[^"\\\n]|\\.)*"|->|[{};]|[A-Za-z0-9_.]+')
+_DOT_ESCAPE = re.compile(r'\\([\\"])')
 
 
 def _position(text, offset):
@@ -141,9 +142,15 @@ def _tokenize_dot(text):
 
 
 def _unquote(token):
-    if token.startswith('"') and token.endswith('"'):
-        return token[1:-1]
+    # undoes exactly the two escapes _dot_quote writes; any other
+    # backslash is a literal character of the label
+    if token.startswith('"'):
+        return _DOT_ESCAPE.sub(r"\1", token[1:-1])
     return token
+
+
+def _dot_quote(label):
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _dag_from_dot(text):
@@ -196,16 +203,6 @@ def _dag_from_dot(text):
     return Dag(nodes, edges)
 
 
-def _dag_to_dot(g):
-    lines = ["digraph {"]
-    for v in g.nodes:
-        lines.append(f'  "{v}";')
-    for u, v in sorted(g.edges):
-        lines.append(f'  "{u}" -> "{v}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def load_dag(path):
     """Read a DAG from ``path`` (.json or .dot)."""
     if _format_of(path) == "json":
@@ -215,10 +212,40 @@ def load_dag(path):
 
 def save_dag(g, path):
     """Write a DAG to ``path`` (.json or .dot); load_dag inverts it."""
-    if _format_of(path) == "json":
-        _write_text(path, json.dumps(_dag_to_doc(g), indent=2) + "\n")
-    else:
-        _write_text(path, _dag_to_dot(g))
+    rows = ((u, sorted(g.children(u))) for u in sorted(g.nodes))
+    _write_graph(path, g.nodes, rows)
+
+
+def _write_graph(path, nodes, rows):
+    """Write a graph as ``save_dag`` lays it out, one edge row at a time.
+
+    ``rows`` yields ``(tail, heads)`` with tails and heads sorted, so the
+    edges come out in ``sorted(edges)`` order. The JSON layout is the one
+    ``json.dumps(doc, indent=2)`` gives, with each label encoded once by
+    ``json.dumps``; the DOT layout declares every node, then every edge.
+    """
+    is_json = _format_of(path) == "json"
+    quoted = {v: (json.dumps if is_json else _dot_quote)(v) for v in nodes}
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if is_json:
+            fh.write(f'{{\n  "version": {FORMAT_VERSION},\n  "nodes": ')
+            fh.write("[\n    " + ",\n    ".join(quoted.values()) + "\n  ]" if quoted else "[]")
+            fh.write(',\n  "edges": [')
+            sep = ""
+            for u, heads in rows:
+                if heads:
+                    tail = f"\n    [\n      {quoted[u]},\n      "
+                    fh.write(sep + tail + f"\n    ],{tail}".join(map(quoted.get, heads)))
+                    sep = "\n    ],"
+            fh.write("\n    ]\n  ]\n}\n" if sep else "]\n}\n")
+        else:
+            fh.write("digraph {\n")
+            fh.writelines(f"  {q};\n" for q in quoted.values())
+            for u, heads in rows:
+                if heads:
+                    tail = f"  {quoted[u]} -> "
+                    fh.write(tail + f";\n{tail}".join(map(quoted.get, heads)) + ";\n")
+            fh.write("}\n")
 
 
 def load_summary(path):
@@ -283,9 +310,9 @@ def export_summary_dot(h, path):
     lines = ["digraph {"]
     for label in h.quotient.nodes:
         members = ",".join(sorted(h.members(label), key=position.get))
-        lines.append(f'  "{label}" [label="{members}"];')
+        lines.append(f"  {_dot_quote(label)} [label={_dot_quote(members)}];")
     for u, v in sorted(h.quotient.edges):
-        lines.append(f'  "{u}" -> "{v}";')
+        lines.append(f"  {_dot_quote(u)} -> {_dot_quote(v)};")
     lines.append("}")
     _write_text(path, "\n".join(lines) + "\n")
 
@@ -358,8 +385,29 @@ def _cmd_summarize(args):
 
 
 def _cmd_canonical(args):
-    save_dag(canonical(load_summary(args.in_path)), args.out)
+    h = load_summary(args.in_path)
+    _write_graph(args.out, h.base_order, _canonical_rows(h))
     return 0
+
+
+def _canonical_rows(h):
+    """``canonical(h)`` as ``_write_graph`` rows, without its edge set.
+
+    A tail's heads are its cluster-mates later in base order and the
+    members of its cluster's quotient children. The two sets are disjoint,
+    and for an unmutilated summary they already hold every base edge, so
+    mutilated summaries need no branch of their own.
+    """
+    members = {c: [] for c in h.quotient.nodes}
+    for v in h.base_order:
+        members[h.mapping[v]].append(v)
+    rank = {v: i for vs in members.values() for i, v in enumerate(vs)}
+    below = {
+        c: sorted(v for d in h.quotient.children(c) for v in members[d]) for c in members
+    }
+    for u in sorted(h.base_order):
+        c = h.mapping[u]
+        yield u, sorted(members[c][rank[u] + 1 :] + below[c])
 
 
 def _cmd_rb(args):

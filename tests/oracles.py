@@ -128,18 +128,28 @@ def all_set_partitions(items):
 
 
 def all_dags(labels):
-    """Every labeled DAG over ``labels``, by filtering all edge subsets."""
+    """Every labeled DAG over ``labels``, by backtracking over the node pairs.
+
+    Each pair gets no edge or one edge either way. An edge u→v is refused
+    when v already reaches u, so a cyclic prefix is never extended;
+    reachability is a reflexive bitmask per node, copied on each edge.
+    """
     labels = list(labels)
-    slots = [(u, v) for u, v in combinations(labels, 2)] + [
-        (v, u) for u, v in combinations(labels, 2)
-    ]
-    for mask in range(1 << len(slots)):
-        edges = [slots[i] for i in range(len(slots)) if mask >> i & 1]
-        graph = nx.DiGraph()
-        graph.add_nodes_from(labels)
-        graph.add_edges_from(edges)
-        if nx.is_directed_acyclic_graph(graph):
-            yield labels, edges
+    pairs = list(combinations(range(len(labels)), 2))
+    edges = []
+
+    def extend(k, reach):
+        if k == len(pairs):
+            yield labels, list(edges)
+            return
+        yield from extend(k + 1, reach)
+        for u, v in (pairs[k], pairs[k][::-1]):
+            if not reach[v] >> u & 1:
+                edges.append((labels[u], labels[v]))
+                yield from extend(k + 1, [r | reach[v] if r >> u & 1 else r for r in reach])
+                edges.pop()
+
+    yield from extend(0, [1 << i for i in range(len(labels))])
 
 
 def compatible_dags(h):

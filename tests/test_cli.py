@@ -22,9 +22,32 @@ from causalsumm import (
     mutilate_summary,
     save_dag,
     save_summary,
+    topological_order,
+    trivial_summary,
 )
 from causalsumm.cli_io import ParseError, cli, export_summary_dot, load_similarity
 from causalsumm.fixtures import redshift_missing_edge
+from oracles import partition_summary
+from test_summary import _random_mutilation, _random_summary
+
+# labels the file formats must escape (quotes, backslashes, non-ASCII),
+# plus A, B and AB, whose merge is labeled AB#2
+TRICKY_LABELS = ["A", "B", "AB", 'a"b', "\\", '"', 'q\\"', "x\\y", "é", "日本", "𝔸", "#2"]
+tricky_labels = st.sampled_from(TRICKY_LABELS) | st.text('AB"\\é𝔸#2', min_size=1, max_size=3)
+
+
+@st.composite
+def tricky_dags(draw, max_nodes=7):
+    """Random small DAGs over labels drawn from ``tricky_labels``."""
+    labels = draw(st.lists(tricky_labels, min_size=1, max_size=max_nodes, unique=True))
+    order = draw(st.permutations(labels))
+    edges = [
+        (order[i], order[j])
+        for i in range(len(order))
+        for j in range(i + 1, len(order))
+        if draw(st.booleans())
+    ]
+    return Dag(labels, edges)
 
 
 class TestDagFiles:
@@ -34,6 +57,23 @@ class TestDagFiles:
             path = tmp_path / f"g{suffix}"
             save_dag(g, path)
             assert load_dag(path) == g
+
+    def test_dot_escapes_quotes_and_backslashes(self, tmp_path):
+        g = Dag(['a"b', "Z", "c\\"], [('a"b', "Z"), ("c\\", "Z")])
+        path = tmp_path / "g.dot"
+        save_dag(g, path)
+        assert path.read_text() == (
+            'digraph {\n  "a\\"b";\n  "Z";\n  "c\\\\";\n'
+            '  "a\\"b" -> "Z";\n  "c\\\\" -> "Z";\n}\n'
+        )
+        assert load_dag(path) == g
+
+    @settings(max_examples=80, deadline=None)
+    @given(g=tricky_dags())
+    def test_dot_round_trips_every_label(self, tmp_path_factory, g):
+        path = tmp_path_factory.mktemp("dot") / "g.dot"
+        save_dag(g, path)
+        assert load_dag(path) == g
 
     def test_files_are_lf_terminated(self, g1, tmp_path):
         path = tmp_path / "g.json"
@@ -103,6 +143,14 @@ class TestDotParsing:
         with pytest.raises(ParseError, match=r"expected '\}'"):
             self.parse("digraph { A;", tmp_path)
 
+    def test_other_backslashes_are_literal(self, tmp_path):
+        g = self.parse('digraph { "a\\x" -> "b\\\\\\"c"; }', tmp_path)
+        assert g.nodes == ("a\\x", 'b\\"c')
+
+    def test_unterminated_escape_is_located(self, tmp_path):
+        with pytest.raises(ParseError, match="line 1, column 11: unexpected character"):
+            self.parse('digraph { "a\\"; }', tmp_path)
+
     def test_not_a_digraph(self, tmp_path):
         with pytest.raises(ParseError, match="expected 'digraph'"):
             self.parse("graph { A; }", tmp_path)
@@ -128,6 +176,13 @@ class TestSummaryFiles:
         assert '"BC" [label="B,C"];' in text
         assert '"BC" -> "D";' in text
 
+    def test_dot_export_escapes_labels(self, tmp_path):
+        g = Dag(['a"b', "c\\"], [('a"b', "c\\")])
+        h = partition_summary(g, ('a"b', "c\\"), [['a"b', "c\\"]])
+        path = tmp_path / "h.dot"
+        export_summary_dot(h, path)
+        assert '  "a\\"bc\\\\" [label="a\\"b,c\\\\"];' in path.read_text().splitlines()
+
     def test_summaries_do_not_load_from_dot(self, h1, tmp_path):
         path = tmp_path / "h.dot"
         save_summary(h1, path)  # allowed: render-only
@@ -143,6 +198,56 @@ class TestSummaryFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="two clusters"):
             load_summary(path)
+
+
+class TestCanonicalExport:
+    """``canonical --out`` streams its rows: the bytes must be those of
+    ``save_dag(canonical(h))``, and the grounded graph is never built."""
+
+    def assert_export_matches(self, h, folder):
+        src = folder / "h.json"
+        save_summary(h, src)
+        for suffix in (".json", ".dot"):
+            out, ref = folder / f"out{suffix}", folder / f"ref{suffix}"
+            assert cli(["canonical", "--in", str(src), "--out", str(out)]) == 0
+            save_dag(canonical(h), ref)
+            assert out.read_bytes() == ref.read_bytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(g=tricky_dags(), rng=st.randoms(use_true_random=False), cut=st.booleans())
+    def test_bytes_equal_save_dag_of_canonical(self, tmp_path_factory, g, rng, cut):
+        h = _random_summary(g, rng)
+        if cut:
+            h = _random_mutilation(h, rng)
+        self.assert_export_matches(h, tmp_path_factory.mktemp("export"))
+
+    @pytest.mark.parametrize("case", ["edgeless", "edgeless, k=1", "trivial", "k=1"])
+    def test_extremes(self, redshift, tmp_path, case):
+        g = Dag(TRICKY_LABELS) if case.startswith("edgeless") else redshift
+        order = topological_order(g)
+        h = partition_summary(g, order, [order]) if "k=1" in case else trivial_summary(g)
+        self.assert_export_matches(h, tmp_path)
+
+    def test_suffixed_labels(self, tmp_path):
+        g = Dag(["A", "B", "AB", 'a"b'], [("A", "AB"), ("B", "AB"), ("AB", 'a"b')])
+        h = partition_summary(g, ("A", "B", "AB", 'a"b'), [["A", "B"], ["AB"], ['a"b']])
+        assert h.quotient.nodes == ("AB#2", "AB", 'a"b')
+        self.assert_export_matches(h, tmp_path)
+
+    def test_builds_no_grounded_dag(self, fixtures_dir, tmp_path, monkeypatch, h1):
+        sizes = []
+        init = Dag.__init__
+
+        def recording_init(self, nodes, edges=()):
+            edges = list(edges)
+            sizes.append(len(edges))
+            init(self, nodes, edges)
+
+        monkeypatch.setattr(Dag, "__init__", recording_init)
+        out = str(tmp_path / "c.json")
+        assert cli(["canonical", "--in", str(fixtures_dir / "h1.json"), "--out", out]) == 0
+        # only the summary's base and quotient are built
+        assert sizes == [h1.base.num_edges, h1.quotient.num_edges]
 
 
 class TestSimilarityCsv:
