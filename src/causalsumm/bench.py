@@ -87,16 +87,17 @@ def brute_force_summarize(g, k):
     turns cyclic exactly when b already reaches one of those source
     blocks, and such prefixes are pruned.
 
-    The score of a partition is the canonical DAG's additional edges,
-    counted in closed form (``canonical_edge_count``) and updated in
-    O(blocks) per placed node. That count never falls as nodes are added,
-    since block sizes and block edges only grow, so a prefix's count is a
-    lower bound on every completion's score; a branch is cut only when the
-    bound is strictly above the best score found, so every tied partition
-    is still reached. Ties go to the lexicographically smallest partition
-    signature (blocks as node tuples in topological order), so the result
-    is deterministic and equals the unpruned search. Only the winner is
-    built as a summary. Exponential: guarded to 10 nodes.
+    The score of a partition is the canonical DAG's additional edges. Each
+    placed node updates the canonical edge count (the sum that
+    ``canonical_edge_count`` takes in closed form) in O(blocks). That count
+    never falls as nodes are added, since block sizes and block edges only
+    grow, so a prefix's count is a lower bound on every completion's score;
+    a branch is cut only when the bound is strictly above the best score
+    found, so every tied partition is still reached. Ties go to the
+    lexicographically smallest partition signature (blocks as node tuples
+    in topological order), so the result is deterministic and equals the
+    unpruned search. Only the winner is built as a summary. Exponential:
+    guarded to 10 nodes.
     """
     if g.num_nodes > 10:
         raise SizeLimitError(

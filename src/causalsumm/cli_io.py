@@ -22,6 +22,7 @@ from .graph_core import Dag, GraphError, ValidationError, topological_order
 from .separation import SeparationQuery, d_separated, s_separated
 from .summary import (
     SummaryDag,
+    canonical_rows,
     ground_ci,
     recursive_basis,
     summary_recursive_basis,
@@ -386,28 +387,8 @@ def _cmd_summarize(args):
 
 def _cmd_canonical(args):
     h = load_summary(args.in_path)
-    _write_graph(args.out, h.base_order, _canonical_rows(h))
+    _write_graph(args.out, h.base_order, canonical_rows(h))
     return 0
-
-
-def _canonical_rows(h):
-    """``canonical(h)`` as ``_write_graph`` rows, without its edge set.
-
-    A tail's heads are its cluster-mates later in base order and the
-    members of its cluster's quotient children. The two sets are disjoint,
-    and for an unmutilated summary they already hold every base edge, so
-    mutilated summaries need no branch of their own.
-    """
-    members = {c: [] for c in h.quotient.nodes}
-    for v in h.base_order:
-        members[h.mapping[v]].append(v)
-    rank = {v: i for vs in members.values() for i, v in enumerate(vs)}
-    below = {
-        c: sorted(v for d in h.quotient.children(c) for v in members[d]) for c in members
-    }
-    for u in sorted(h.base_order):
-        c = h.mapping[u]
-        yield u, sorted(members[c][rank[u] + 1 :] + below[c])
 
 
 def _cmd_rb(args):

@@ -120,9 +120,9 @@ def s_separated(h, query):
     all member pairs and orders each cluster totally, so a query naming
     only whole clusters is d-separated there exactly when it is in the
     quotient (d-separation in cluster DAGs; Anand et al., "Causal Effect
-    Identification in Cluster DAGs", AAAI 2023). This also holds for
-    mutilated summaries, whose canonical DAG is built from the quotient
-    alone. Like the definition, the answer is sound and complete for the
-    CIs guaranteed by every DAG the summary could have come from.
+    Identification in Cluster DAGs", AAAI 2023). Every canonical DAG, a
+    mutilated summary's included, is built from the quotient and the base
+    order alone. Like the definition, the answer is sound and complete for
+    the CIs guaranteed by every DAG the summary could have come from.
     """
     return d_separated(h.quotient, query)

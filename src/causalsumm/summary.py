@@ -86,8 +86,8 @@ class SummaryDag:
         ``canonical``.
     mutilated : bool
         True when this summary was produced by ``mutilate_summary``; the
-        quotient then no longer edge-preserves the base, and ``canonical``
-        re-derives grounded edges from the quotient alone.
+        quotient then no longer edge-preserves the base, which goes
+        unchecked. ``canonical`` grounds it from the quotient like any other.
 
     >>> g = Dag("ABC", [("A", "B"), ("B", "C")])
     >>> h = contract(trivial_summary(g), "B", "C")
@@ -122,14 +122,13 @@ class SummaryDag:
         images = set(self.mapping.values())
         if images != self.quotient.node_set:
             raise ValidationError("mapping must be surjective onto the quotient nodes")
-        if not self.mutilated:
-            for u, v in self.base.edges:
-                cu, cv = self.mapping[u], self.mapping[v]
-                if cu != cv and not self.quotient.has_edge(cu, cv):
-                    raise ValidationError(
-                        f"edge preservation violated: {u} -> {v} has no image "
-                        f"{cu} -> {cv} in the quotient"
-                    )
+        edge = None if self.mutilated else _edge_without_image(self, self.base.edges)
+        if edge is not None:
+            u, v = edge
+            raise ValidationError(
+                f"edge preservation violated: {u} -> {v} has no image "
+                f"{self.mapping[u]} -> {self.mapping[v]} in the quotient"
+            )
 
     @property
     def clusters(self):
@@ -300,42 +299,60 @@ def is_compatible(g, h):
     """
     if g.node_set != h.base.node_set:
         raise ValidationError("graph and summary range over different variables")
-    for u, v in g.edges:
+    return _edge_without_image(h, g.edges) is None
+
+
+def _edge_without_image(h, edges):
+    """The first of ``edges`` that joins two clusters with no quotient edge
+    between them, or None when every edge has an image in ``h``."""
+    for u, v in edges:
         cu, cv = h.mapping[u], h.mapping[v]
         if cu != cv and not h.quotient.has_edge(cu, cv):
-            return False
-    return True
+            return u, v
+    return None
 
 
 def canonical(h):
     """The canonical causal DAG the summary stands for.
 
     Over the base variables, with an edge (u, v) present iff
-      (i)   (u, v) is a base edge (skipped for mutilated summaries, whose
-            quotient overrides the base),
-      (ii)  the clusters of u and v are joined by a quotient edge, or
-      (iii) u and v share a cluster and u precedes v in base order.
+      (i)  the clusters of u and v are joined by a quotient edge, or
+      (ii) u and v share a cluster and u precedes v in base order.
 
-    Always acyclic, always compatible with ``h``, and (for unmutilated
-    summaries) always a supergraph of the base.
+    Always acyclic and compatible with ``h``; a supergraph of the base
+    unless ``h`` is mutilated, since edge preservation and a topological
+    base order put every base edge under (i) or (ii).
 
     >>> g = Dag("ABCDE", [("A","B"), ("A","C"), ("B","D"), ("C","D"), ("D","E")])
     >>> h1 = contract(trivial_summary(g), "B", "C")
     >>> sorted(canonical(h1).edges)
     [('A', 'B'), ('A', 'C'), ('B', 'C'), ('B', 'D'), ('C', 'D'), ('D', 'E')]
     """
-    position = {v: i for i, v in enumerate(h.base_order)}
-    edges = set() if h.mutilated else set(h.base.edges)
-    for cu, cv in h.quotient.edges:
-        for u in h.members(cu):
-            for v in h.members(cv):
-                edges.add((u, v))
-    for members in h.clusters.values():
-        ordered = sorted(members, key=position.get)
-        for i, u in enumerate(ordered):
-            for v in ordered[i + 1 :]:
-                edges.add((u, v))
-    return Dag(h.base_order, sorted(edges))
+    return Dag(h.base_order, ((u, v) for u, heads in canonical_rows(h) for v in heads))
+
+
+def canonical_rows(h):
+    """The edges of ``canonical(h)`` as ``(tail, heads)`` rows, without an edge set.
+
+    One row per base node, in sorted order. A tail's heads, sorted, are its
+    cluster-mates later in base order and the members of its cluster's
+    quotient children; the two sets are disjoint. The rows therefore list
+    the edges in ``sorted(edges)`` order, each once.
+
+    >>> g = Dag("ABCDE", [("A","B"), ("A","C"), ("B","D"), ("C","D"), ("D","E")])
+    >>> list(canonical_rows(contract(trivial_summary(g), "B", "C")))
+    [('A', ['B', 'C']), ('B', ['C', 'D']), ('C', ['D']), ('D', ['E']), ('E', [])]
+    """
+    members = {c: [] for c in h.quotient.nodes}
+    for v in h.base_order:
+        members[h.mapping[v]].append(v)
+    rank = {v: i for vs in members.values() for i, v in enumerate(vs)}
+    below = {
+        c: sorted(v for d in h.quotient.children(c) for v in members[d]) for c in members
+    }
+    for u in sorted(h.base_order):
+        c = h.mapping[u]
+        yield u, sorted(members[c][rank[u] + 1 :] + below[c])
 
 
 def canonical_edge_count(sizes, edges):
@@ -444,10 +461,10 @@ def mutilate(g, bar_x, under_z):
 def mutilate_summary(h, bar_x, under_z):
     """Mutilate a summary's quotient cluster-wise.
 
-    The base is left intact; the result is flagged so that ``canonical``
-    grounds edges from the mutilated quotient (plus within-cluster order
-    edges) instead of resurrecting severed base edges. Mutilating with two
-    empty sets is the identity.
+    The base is left intact and the result is flagged as mutilated, since
+    its quotient no longer edge-preserves the base; ``canonical`` grounds it
+    from that quotient, so severed base edges stay severed. Mutilating with
+    two empty sets is the identity.
     """
     bar_x, under_z = frozenset(bar_x), frozenset(under_z)
     if not bar_x and not under_z:

@@ -56,3 +56,23 @@ def dags(draw, min_nodes=1, max_nodes=7):
             if draw(st.booleans()):
                 edges.append((order[i], order[j]))
     return Dag(labels, edges)
+
+
+# labels the file formats must escape (quotes, backslashes, non-ASCII),
+# plus A, B and AB, whose merge is labeled AB#2
+TRICKY_LABELS = ["A", "B", "AB", 'a"b', "\\", '"', 'q\\"', "x\\y", "é", "日本", "𝔸", "#2"]
+tricky_labels = st.sampled_from(TRICKY_LABELS) | st.text('AB"\\é𝔸#2', min_size=1, max_size=3)
+
+
+@st.composite
+def tricky_dags(draw, max_nodes=7):
+    """Random small DAGs over labels drawn from ``tricky_labels``."""
+    labels = draw(st.lists(tricky_labels, min_size=1, max_size=max_nodes, unique=True))
+    order = draw(st.permutations(labels))
+    edges = [
+        (order[i], order[j])
+        for i in range(len(order))
+        for j in range(i + 1, len(order))
+        if draw(st.booleans())
+    ]
+    return Dag(labels, edges)

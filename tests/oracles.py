@@ -176,13 +176,18 @@ def satisfies_backdoor(labels, edges, t, o, z):
     """The backdoor criterion for ``z`` relative to (t, o) in one DAG: no
     member of ``z`` descends from ``t``, and ``z`` d-separates ``t`` from
     ``o`` once the edges out of ``t`` are removed (Pearl 2009, §3.3)."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(labels)
-    graph.add_edges_from(edges)
-    if set(z) & nx.descendants(graph, t):
+    children = {v: [] for v in labels}
+    for u, v in edges:
+        children[u].append(v)
+    below, stack = set(), list(children[t])
+    while stack:
+        v = stack.pop()
+        if v not in below:
+            below.add(v)
+            stack.extend(children[v])
+    if below & set(z):
         return False
-    graph.remove_edges_from(list(graph.out_edges(t)))
-    return nx.is_d_separator(graph, {t}, {o}, set(z))
+    return moral_d_separated([(u, v) for u, v in edges if u != t], {t}, {o}, z)
 
 
 def _ancestral(edges, seeds):
@@ -255,6 +260,41 @@ def canonical_s_separated(h, query):
     return d_separated(canonical(h), grounded)
 
 
+def _grounded_edges(h, order):
+    """Every member pair of a quotient edge, plus each cluster's members
+    joined pairwise along ``order``: the canonical edges that ``h`` grounds
+    from its quotient."""
+    position = {v: i for i, v in enumerate(order)}
+    edges = set()
+    for cu, cv in h.quotient.edges:
+        for u in h.members(cu):
+            for v in h.members(cv):
+                edges.add((u, v))
+    for members in h.clusters.values():
+        ordered = sorted(members, key=position.get)
+        for i, u in enumerate(ordered):
+            for v in ordered[i + 1 :]:
+                edges.add((u, v))
+    return edges
+
+
+def reference_canonical(h):
+    """The canonical causal DAG by its definition, as an edge set.
+
+    An edge (u, v) is present iff
+      (i)   (u, v) is a base edge (skipped for mutilated summaries, whose
+            quotient overrides the base),
+      (ii)  the clusters of u and v are joined by a quotient edge, or
+      (iii) u and v share a cluster and u precedes v in base order.
+    """
+    from causalsumm import Dag
+
+    edges = _grounded_edges(h, h.base_order)
+    if not h.mutilated:
+        edges |= h.base.edges
+    return Dag(h.base_order, sorted(edges))
+
+
 def reordered_canonical(h, t):
     """Canonical DAG under a base order that puts ``t`` first in its cluster.
 
@@ -271,19 +311,7 @@ def reordered_canonical(h, t):
         order = tuple(rest[:at]) + (t,) + tuple(rest[at:])
     else:
         order = h.base_order
-    position = {v: i for i, v in enumerate(order)}
-
-    edges = set()
-    for cu, cv in h.quotient.edges:
-        for u in h.members(cu):
-            for v in h.members(cv):
-                edges.add((u, v))
-    for members in h.clusters.values():
-        ordered = sorted(members, key=position.get)
-        for i, u in enumerate(ordered):
-            for v in ordered[i + 1 :]:
-                edges.add((u, v))
-    return Dag(order, sorted(edges))
+    return Dag(order, sorted(_grounded_edges(h, order)))
 
 
 def partition_summary(g, order, blocks):

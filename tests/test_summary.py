@@ -23,8 +23,10 @@ from causalsumm import (
     trivial_summary,
 )
 from causalsumm import fixtures
-from conftest import dags
-from oracles import has_long_path
+from conftest import dags, tricky_dags
+from oracles import has_long_path, reference_canonical
+
+_rngs = st.randoms(use_true_random=False)
 
 
 def stmt_sets(statements):
@@ -139,11 +141,35 @@ class TestCanonical:
         for s in (h, _random_mutilation(h, rng)):
             assert additional_edges(s) == canonical(s).num_edges - g.num_edges
 
+    @given(
+        st.deferred(
+            lambda: st.builds(_random_summary, dags() | tricky_dags(), _rngs)
+            | colliding_summaries()
+        ),
+        _rngs,
+        st.booleans(),
+    )
+    def test_canonical_is_the_definition(self, h, rng, cut):
+        if cut:
+            h = _random_mutilation(h, rng)
+        canon, ref = canonical(h), reference_canonical(h)
+        assert canon == ref and canon.nodes == ref.nodes == h.base_order
+
+    def test_colliding_labels_ground_by_members(self):
+        g = Dag(["A", "B", "AB", "C"], [("A", "B"), ("B", "AB"), ("AB", "C")])
+        h = contract(trivial_summary(g), "A", "B")
+        assert h.quotient.nodes == ("AB#2", "AB", "C")
+        assert canonical(h).edges == g.edges | {("A", "AB")}
+
 
 def _random_summary(g, rng):
     """A random contraction sequence applied to the trivial summary."""
-    h = trivial_summary(g)
-    merges = rng.randrange(g.num_nodes)
+    return _random_merges(trivial_summary(g), rng)
+
+
+def _random_merges(h, rng):
+    """Fewer random valid contractions of ``h`` than it has clusters."""
+    merges = rng.randrange(h.quotient.num_nodes)
     for _ in range(merges):
         labels = sorted(h.quotient.nodes)
         pairs = [
@@ -156,6 +182,24 @@ def _random_summary(g, rng):
             break
         h = contract(h, *rng.choice(pairs))
     return h
+
+
+@st.composite
+def colliding_summaries(draw):
+    """Random summaries that start by merging A and B while a base node is
+    named AB, so the merged cluster is labeled AB#2."""
+    labels = ["A", "B", "AB"] + [f"N{i}" for i in range(draw(st.integers(0, 4)))]
+    order = [v for v in draw(st.permutations(labels)) if v != "B"]
+    # B right after A in the topological order: no path A -> ... -> B
+    order.insert(order.index("A") + 1, "B")
+    edges = [
+        (order[i], order[j])
+        for i in range(len(order))
+        for j in range(i + 1, len(order))
+        if draw(st.booleans())
+    ]
+    h = contract(trivial_summary(Dag(labels, edges)), "A", "B")
+    return _random_merges(h, draw(_rngs))
 
 
 def _random_mutilation(h, rng):
