@@ -1,17 +1,19 @@
 """Do-calculus applicability checks on summary DAGs.
 
 Each of Pearl's three rules is licensed by a separation statement in a
-suitably mutilated graph. Here the graphs are summary DAGs and the
-separations are s-separations, so a positive answer transfers to every
-causal DAG compatible with the summary. Interventions address whole
-clusters: do(X) for a cluster X means intervening on all its members.
+suitably mutilated graph. Here the graph is a summary's quotient DAG,
+mutilated cluster-wise, and the separation is d-separation in it: the
+summary's s-separation (d-separation in cluster DAGs; Anand et al., AAAI
+2023), so a positive answer transfers to every causal DAG compatible with
+the summary. Interventions address whole clusters: do(X) for a cluster X
+means intervening on all its members.
 """
 
 from dataclasses import dataclass, field
 
-from .graph_core import UnknownNodeError, ValidationError
-from .separation import SeparationQuery, s_separated
-from .summary import mutilate_summary
+from .graph_core import ValidationError
+from .separation import SeparationQuery, d_separated
+from .summary import mutilate
 
 RULES = ("R1", "R2", "R3")
 
@@ -45,12 +47,6 @@ class DoQuery:
                     )
 
 
-def _check_clusters(h, q):
-    for label in q.x | q.y | q.z | q.w:
-        if label not in h.quotient.node_set:
-            raise UnknownNodeError(label)
-
-
 def rule_applies(h, rule, q, zw_in_hbar=True):
     """Does do-calculus rule ``rule`` apply to query ``q`` on summary ``h``?
 
@@ -62,6 +58,10 @@ def rule_applies(h, rule, q, zw_in_hbar=True):
         incoming edges of x ∪ z(w) removed, where z(w) is the part of z
         with no descendants in w.
 
+    Here H is the quotient and each separation is d-separation in the
+    mutilated quotient, which is the s-separation of the summary mutilated
+    the same way (see ``s_separated``); no mutilated summary is built.
+
     ``zw_in_hbar`` picks where R3's ancestor sets are computed: in the
     x-mutilated quotient (default, the standard reading) or in the
     unmutilated quotient (the literal alternative); the two differ only
@@ -69,16 +69,17 @@ def rule_applies(h, rule, q, zw_in_hbar=True):
     """
     if rule not in RULES:
         raise ValidationError(f"unknown rule {rule!r}; expected one of {RULES}")
-    _check_clusters(h, q)
+    g = h.quotient
+    g.require(q.x | q.y | q.z | q.w)
     sep = SeparationQuery(x=q.y, y=q.z, z=q.x | q.w)
     if rule == "R1":
-        return s_separated(mutilate_summary(h, q.x, frozenset()), sep)
+        return d_separated(mutilate(g, q.x, ()), sep)
     if rule == "R2":
-        return s_separated(mutilate_summary(h, q.x, q.z), sep)
+        return d_separated(mutilate(g, q.x, q.z), sep)
     # R3: drop the z-clusters that are not ancestors of w, then bar them too
-    host = mutilate_summary(h, q.x, frozenset()).quotient if zw_in_hbar else h.quotient
+    host = mutilate(g, q.x, ()) if zw_in_hbar else g
     zw = q.z - host.ancestors(q.w)
-    return s_separated(mutilate_summary(h, q.x | zw, frozenset()), sep)
+    return d_separated(mutilate(g, q.x | zw, ()), sep)
 
 
 def adjustment_set(h, t, o):
@@ -94,9 +95,7 @@ def adjustment_set(h, t, o):
     does not show, and when ``o`` lies in one of those parent clusters,
     since the set would contain the outcome.
     """
-    for v in (t, o):
-        if v not in h.base.node_set:
-            raise UnknownNodeError(v)
+    h.base.require((t, o))
     if t == o:
         raise ValidationError("treatment and outcome must differ")
     cluster = h.cluster_of(t)

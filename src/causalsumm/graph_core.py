@@ -62,13 +62,17 @@ class SizeLimitError(GraphError):
 def _check_label(label):
     if not isinstance(label, str) or not label:
         raise ValidationError(f"node labels must be non-empty text, got {label!r}")
-    if any(ch.isspace() for ch in label):
+    if label.split() != [label]:  # split() cuts at exactly the str.isspace() characters
         raise ValidationError(f"label {label!r} contains whitespace (reserved)")
     bad = RESERVED_CHARS.intersection(label)
     if bad:
         raise ValidationError(
             f"label {label!r} contains reserved character {sorted(bad)[0]!r}"
         )
+    try:
+        label.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError(f"label {label!r} cannot be encoded as UTF-8") from None
 
 
 class Dag:
@@ -78,8 +82,8 @@ class Dag:
     ----------
     nodes:
         Iterable of labels. Order is preserved (it is the serialization
-        order) and labels must be unique, non-empty, and free of
-        whitespace and the characters ``,;|``.
+        order) and labels must be unique, non-empty, encodable as UTF-8,
+        and free of whitespace and the characters ``,;|``.
     edges:
         Iterable of (tail, head) pairs over ``nodes``. Self-loops,
         duplicate pairs, endpoints outside ``nodes``, and directed cycles
@@ -172,6 +176,18 @@ class Dag:
 
     # === local queries ===
 
+    def require(self, labels):
+        """``labels`` as a frozenset, all of them nodes of this graph.
+
+        Raises ``UnknownNodeError`` naming the smallest unknown label, so
+        the error is the same on every run.
+        """
+        labels = frozenset(labels)
+        unknown = labels - self._nodes
+        if unknown:
+            raise UnknownNodeError(min(unknown, key=str))
+        return labels
+
     def parents(self, v):
         """π(v): the set of tails of edges into ``v``."""
         if v not in self._nodes:
@@ -193,7 +209,7 @@ class Dag:
         collider activation in d-separation, where "has a descendant in Z"
         must cover the collider itself being in Z.
         """
-        s = self._as_members(s)
+        s = self.require(s)
         result = set(s)
         frontier = deque(s)
         while frontier:
@@ -211,7 +227,7 @@ class Dag:
         only if it is an ancestor of another member. (Rule R3's
         Z \\ ancestors(W) must not erase Z trivially.)
         """
-        s = self._as_members(s)
+        s = self.require(s)
         result = set()
         frontier = deque()
         for v in s:
@@ -222,13 +238,6 @@ class Dag:
                 result.add(v)
                 frontier.extend(self._parents[v])
         return frozenset(result)
-
-    def _as_members(self, s):
-        members = frozenset(s)
-        for v in members:
-            if v not in self._nodes:
-                raise UnknownNodeError(v)
-        return members
 
     def _raise_if_cyclic(self):
         indegree = {v: len(self._parents[v]) for v in self._order}

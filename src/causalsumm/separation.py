@@ -11,7 +11,7 @@ canonical causal DAG, is kept as a test oracle.
 from collections import deque
 from dataclasses import dataclass, field
 
-from .graph_core import Dag, UnknownNodeError, ValidationError
+from .graph_core import Dag, ValidationError
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,6 @@ class SeparationQuery:
         return self.x | self.y | self.z
 
 
-def _check_members(g, query):
-    for v in query.members():
-        if v not in g.node_set:
-            raise UnknownNodeError(v)
-
-
 # Directions a trail can arrive at a node from. Arriving "down" means the
 # last edge pointed into the node (came from a parent); arriving "up" means
 # the last edge was traversed against its direction (came from a child).
@@ -73,7 +67,7 @@ def d_separated(g, query):
     >>> d_separated(g, SeparationQuery({"B"}, {"C"}, {"A", "D"}))
     False
     """
-    _check_members(g, query)
+    g.require(query.members())
     x, y, z = query.x, query.y, query.z
 
     # colliders may be passed when they (or a descendant) are conditioned on:

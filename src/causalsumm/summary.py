@@ -5,8 +5,9 @@ and keeps a quotient DAG over cluster labels. This module provides the
 operations the rest of the package builds on: building a summary from a
 partition, node contraction (refused when it would close a directed
 cycle), compatibility checking, the canonical causal DAG a summary stands
-for, recursive-basis extraction, and the edge-mutilation operators used
-by interventional queries.
+for, recursive-basis extraction, and edge mutilation of a graph
+(``mutilate``, which the do-calculus checks run on the quotient) and of a
+summary (``mutilate_summary``).
 
 Everything here is a pure function over immutable values; summaries are
 never modified in place.
@@ -109,14 +110,7 @@ class SummaryDag:
         self._validate()
 
     def _validate(self):
-        if set(self.base_order) != self.base.node_set or len(self.base_order) != self.base.num_nodes:
-            raise ValidationError("base_order must be a permutation of the base nodes")
-        position = {v: i for i, v in enumerate(self.base_order)}
-        for u, v in self.base.edges:
-            if position[u] >= position[v]:
-                raise ValidationError(
-                    f"base_order is not topological: edge {u} -> {v} goes backwards"
-                )
+        _check_order(self.base, self.base_order, "base_order", "base")
         if set(self.mapping) != self.base.node_set:
             raise ValidationError("mapping must be total on the base nodes")
         images = set(self.mapping.values())
@@ -270,9 +264,7 @@ def contract(h, a, b):
     """
     if a == b:
         raise ValidationError(f"cannot contract a cluster with itself: {a}")
-    for label in (a, b):
-        if label not in h.quotient.node_set:
-            raise UnknownNodeError(label)
+    h.quotient.require((a, b))
 
     def block(label):
         return a if label == b else label
@@ -303,13 +295,22 @@ def is_compatible(g, h):
 
 
 def _edge_without_image(h, edges):
-    """The first of ``edges`` that joins two clusters with no quotient edge
-    between them, or None when every edge has an image in ``h``."""
-    for u, v in edges:
-        cu, cv = h.mapping[u], h.mapping[v]
-        if cu != cv and not h.quotient.has_edge(cu, cv):
-            return u, v
-    return None
+    """The smallest of ``edges`` that joins two clusters with no quotient
+    edge between them, or None when every edge has an image in ``h``."""
+    f, has_edge = h.mapping, h.quotient.has_edge
+    bad = ((u, v) for u, v in edges if (a := f[u]) != (b := f[v]) and not has_edge(a, b))
+    return min(bad, default=None)
+
+
+def _check_order(g, order, name, owner):
+    """Raise ``ValidationError`` unless ``order`` is a topological order of ``g``."""
+    if set(order) != g.node_set or len(order) != g.num_nodes:
+        raise ValidationError(f"{name} must be a permutation of the {owner} nodes")
+    position = {v: i for i, v in enumerate(order)}
+    edge = min(((u, v) for u, v in g.edges if position[u] >= position[v]), default=None)
+    if edge is not None:
+        u, v = edge
+        raise ValidationError(f"{name} is not topological: edge {u} -> {v} goes backwards")
 
 
 def canonical(h):
@@ -387,12 +388,7 @@ def recursive_basis(g, order):
     [frozenset({'A'})]
     """
     order = tuple(order)
-    if set(order) != g.node_set or len(order) != g.num_nodes:
-        raise ValidationError("order must be a permutation of the graph's nodes")
-    position = {v: i for i, v in enumerate(order)}
-    for u, v in g.edges:
-        if position[u] >= position[v]:
-            raise ValidationError(f"order is not topological: edge {u} -> {v}")
+    _check_order(g, order, "order", "graph's")
 
     statements = []
     seen = set()
@@ -451,20 +447,19 @@ def mutilate(g, bar_x, under_z):
     [('B', 'C')]
     """
     bar_x, under_z = frozenset(bar_x), frozenset(under_z)
-    for v in bar_x | under_z:
-        if v not in g.node_set:
-            raise UnknownNodeError(v)
+    g.require(bar_x | under_z)
     edges = [(u, v) for u, v in sorted(g.edges) if v not in bar_x and u not in under_z]
     return Dag(g.nodes, edges)
 
 
 def mutilate_summary(h, bar_x, under_z):
-    """Mutilate a summary's quotient cluster-wise.
+    """Mutilate a summary's quotient cluster-wise, as a summary value.
 
     The base is left intact and the result is flagged as mutilated, since
     its quotient no longer edge-preserves the base; ``canonical`` grounds it
     from that quotient, so severed base edges stay severed. Mutilating with
-    two empty sets is the identity.
+    two empty sets is the identity. The do-calculus checks do not build
+    this value: they run on ``mutilate`` of the quotient alone.
     """
     bar_x, under_z = frozenset(bar_x), frozenset(under_z)
     if not bar_x and not under_z:

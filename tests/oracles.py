@@ -241,6 +241,22 @@ def grounded_rule_holds(edges, rule, x, y, z, w):
     return moral_d_separated(kept, y, z, x | w)
 
 
+def summary_rule_applies(h, rule, q, zw_in_hbar=True):
+    """``rule_applies`` as first written: s-separation in the summary
+    mutilated by ``mutilate_summary``, a whole validated summary value per
+    mutilation, rather than d-separation in the mutilated quotient."""
+    from causalsumm import SeparationQuery, mutilate_summary, s_separated
+
+    sep = SeparationQuery(x=q.y, y=q.z, z=q.x | q.w)
+    if rule == "R1":
+        return s_separated(mutilate_summary(h, q.x, frozenset()), sep)
+    if rule == "R2":
+        return s_separated(mutilate_summary(h, q.x, q.z), sep)
+    host = mutilate_summary(h, q.x, frozenset()).quotient if zw_in_hbar else h.quotient
+    zw = q.z - host.ancestors(q.w)
+    return s_separated(mutilate_summary(h, q.x | zw, frozenset()), sep)
+
+
 def canonical_delta(h, a, b):
     """The merge cost defined the slow way: contract, then count new edges."""
     from causalsumm import canonical, contract

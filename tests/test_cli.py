@@ -364,6 +364,16 @@ class TestCliErrors:
                     "--out", str(tmp_path / "h.json")])
         assert code == 1
         assert "k" in capsys.readouterr().err
+        # a lone surrogate loads from JSON but cannot be written as UTF-8
+        lone = tmp_path / "lone.json"
+        lone.write_text('{"version": 1, "nodes": ["\\ud800"], "edges": []}')
+        for argv in (
+            ["summarize", "--in", lone, "--k", "1", "--out", tmp_path / "h.dot"],
+            ["perturb", "--in", lone, "--add", "0", "--remove", "0", "--out", tmp_path / "p.dot"],
+        ):
+            assert cli([str(a) for a in argv]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -472,6 +482,44 @@ def test_console_script(fixtures_dir):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["C | B | A", "D | A | B,C", "E | A,B,C | D"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["query", "--in", "h4.json", "--mode", "ssep", "--x", "A", "--y", "E", "--z", "D"],
+         "unknown node: 'D'"),
+        (["docalc", "--in", "h4.json", "--rule", "r1", "--y", "Q", "--z", "R", "--x", "S"],
+         "unknown node: 'Q'"),
+        (["query", "--in", "cut.json", "--mode", "ssep", "--x", "A", "--y", "E"],
+         "edge preservation violated: A -> B has no image A -> BC in the quotient"),
+        (["query", "--in", "reversed.json", "--mode", "ssep", "--x", "A", "--y", "E"],
+         "base_order is not topological: edge A -> B goes backwards"),
+    ],
+    ids=["labels", "clusters", "edge-preservation", "base-order"],
+)
+def test_error_text_is_the_same_under_every_hash_seed(fixtures_dir, tmp_path, argv, message):
+    # with several bad labels or edges the message names the smallest, not
+    # the first in set iteration order, which moves with PYTHONHASHSEED
+    h1 = json.loads((fixtures_dir / "h1.json").read_text())
+    (tmp_path / "cut.json").write_text(json.dumps({**h1, "edges": []}))
+    (tmp_path / "reversed.json").write_text(
+        json.dumps({**h1, "base_order": h1["base_order"][::-1]})
+    )
+    folder = {"h4.json": fixtures_dir, "cut.json": tmp_path, "reversed.json": tmp_path}
+    argv = [str(folder[a] / a) if a in folder else a for a in argv]
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    for seed in range(4):
+        proc = subprocess.run(
+            # what the installed console script runs
+            [sys.executable, "-c", "from causalsumm.cli_io import main; main()", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)},
+        )
+        expected = (1, "", f"error: {message}\n")
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected, f"PYTHONHASHSEED={seed}"
 
 
 json_values = st.recursive(

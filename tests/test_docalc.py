@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -19,15 +19,17 @@ from causalsumm import (
     s_separated,
     trivial_summary,
 )
-from conftest import dags
+from causalsumm.docalc import RULES
+from conftest import dags, tricky_dags
 from oracles import (
     all_dags,
     compatible_dags,
     grounded_rule_holds,
     reordered_canonical,
     satisfies_backdoor,
+    summary_rule_applies,
 )
-from test_summary import _random_mutilation, _random_summary
+from test_summary import _random_mutilation, _random_summary, colliding_summaries
 
 
 class TestDoQuery:
@@ -86,6 +88,14 @@ class TestRuleApplies:
     def test_unknown_cluster(self, h1):
         with pytest.raises(UnknownNodeError):
             rule_applies(h1, "R1", DoQuery(y={"E"}, z={"B"}))
+        # with several unknown labels the smallest is named
+        for q, smallest in (
+            (DoQuery(y={"Q"}, z={"R"}, x={"S"}), "Q"),
+            (DoQuery(y={"E", "V"}, z={"U", "T"}, x={"S", "R"}, w={"Q", "B"}), "B"),
+        ):
+            with pytest.raises(UnknownNodeError) as exc:
+                rule_applies(h1, "R2", q)
+            assert exc.value.label == smallest
 
     def test_zw_variants_differ_when_x_cuts_the_ancestral_path(self):
         # Z reaches W only through X, and a confounder U ties Z to Y.
@@ -98,6 +108,33 @@ class TestRuleApplies:
         q = DoQuery(y={"Y"}, z={"Z"}, x={"X"}, w={"W"})
         assert rule_applies(h, "R3", q, zw_in_hbar=True)
         assert not rule_applies(h, "R3", q, zw_in_hbar=False)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.builds(_random_summary, dags() | tricky_dags(), st.randoms(use_true_random=False))
+        | colliding_summaries(),
+        st.randoms(use_true_random=False),
+        st.booleans(),
+    )
+    def test_matches_the_mutilated_summary_formulation(self, h, rng, cut):
+        # d-separation in the mutilated quotient answers exactly as
+        # s-separation in the summary mutilated the same way
+        if cut:
+            h = _random_mutilation(h, rng)
+        labels = sorted(h.quotient.nodes)
+        if len(labels) < 2:
+            return
+        for _ in range(4):
+            order = rng.sample(labels, len(labels))
+            i = rng.randrange(1, len(order))
+            j = rng.randrange(i + 1, len(order) + 1)
+            rest = order[j:]
+            x = {c for c in rest if rng.random() < 0.3}
+            w = {c for c in rest if c not in x and rng.random() < 0.5}
+            q = DoQuery(y=order[:i], z=order[i:j], x=x, w=w)
+            for rule, zw_in_hbar in product(RULES, (True, False)):
+                expected = summary_rule_applies(h, rule, q, zw_in_hbar)
+                assert rule_applies(h, rule, q, zw_in_hbar) == expected, (rule, zw_in_hbar, q)
 
     @given(dags(min_nodes=3, max_nodes=6), st.randoms(use_true_random=False))
     def test_positive_answers_transfer_to_the_mutilated_base(self, g, rng):
@@ -170,6 +207,8 @@ class TestAdjustmentSet:
     def test_validation(self, h1):
         with pytest.raises(UnknownNodeError):
             adjustment_set(h1, "Q", "E")
+        with pytest.raises(UnknownNodeError, match="'Y'"):
+            adjustment_set(h1, "Z", "Y")
         with pytest.raises(ValidationError):
             adjustment_set(h1, "B", "B")
 

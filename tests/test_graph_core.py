@@ -43,7 +43,7 @@ class TestDagConstruction:
         cycle = exc.value.cycle
         assert cycle[0] == cycle[-1] and set(cycle) == {"A", "B", "C"}
 
-    @pytest.mark.parametrize("label", ["", "a b", "a,b", "a;b", "a|b", 3])
+    @pytest.mark.parametrize("label", ["", "a b", "a,b", "a;b", "a|b", 3, "\ud800"])
     def test_bad_labels_rejected(self, label):
         with pytest.raises(ValidationError):
             Dag([label])
@@ -59,6 +59,13 @@ class TestStructuralQueries:
         assert g1.children("A") == {"B", "C"}
         with pytest.raises(UnknownNodeError):
             g1.parents("X")
+        assert g1.require(["A", "B", "A"]) == frozenset({"A", "B"})
+        # with several unknown labels the smallest is named
+        for query in (g1.require, g1.descendants, g1.ancestors):
+            for labels in ({"Y", "X"}, {"A", "Z", "Y", "X", "W", "V"}):
+                with pytest.raises(UnknownNodeError) as exc:
+                    query(labels)
+                assert exc.value.label == min(labels - g1.node_set)
 
     def test_descendants_include_the_seed(self, g1):
         assert g1.descendants({"B"}) == {"B", "D", "E"}

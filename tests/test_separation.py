@@ -38,6 +38,9 @@ class TestQueryValidation:
     def test_unknown_member_rejected(self, g1):
         with pytest.raises(UnknownNodeError):
             d_separated(g1, SeparationQuery({"A"}, {"X"}))
+        # with several unknown labels the smallest is named
+        with pytest.raises(UnknownNodeError, match="'V'"):
+            d_separated(g1, SeparationQuery({"A", "Y"}, {"X", "W"}, {"V", "Z"}))
 
 
 class TestDSeparation:

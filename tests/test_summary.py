@@ -66,6 +66,9 @@ class TestContract:
     def test_unknown_cluster_rejected(self, h1):
         with pytest.raises(UnknownNodeError):
             contract(h1, "B", "D")
+        # with two unknown labels the smaller is named, whatever the order
+        with pytest.raises(UnknownNodeError, match="'Y'"):
+            contract(h1, "Z", "Y")
 
     def test_label_collision_gets_a_suffix(self):
         # merging A and B would mint the label "AB", which already names a
@@ -231,7 +234,8 @@ class TestRecursiveBasis:
         ]
 
     def test_invalid_order_rejected(self, g1):
-        with pytest.raises(ValidationError):
+        # every edge goes backwards; the smallest is named
+        with pytest.raises(ValidationError, match="edge A -> B goes backwards"):
             recursive_basis(g1, ("E", "D", "C", "B", "A"))
         with pytest.raises(ValidationError):
             recursive_basis(g1, ("A", "B", "C"))
@@ -285,6 +289,10 @@ class TestMutilation:
     def test_unknown_node(self, g1):
         with pytest.raises(UnknownNodeError):
             mutilate(g1, {"X"}, set())
+        for bar_x, under_z in (({"Y", "X"}, set()), ({"Y"}, {"X", "Z"}), (set(), set("QRSTUVWX"))):
+            with pytest.raises(UnknownNodeError) as exc:
+                mutilate(g1, bar_x, under_z)
+            assert exc.value.label == min(bar_x | under_z)
 
     def test_summary_bar(self, h1):
         cut = mutilate_summary(h1, {"D"}, set())
@@ -332,13 +340,14 @@ class TestSummaryDagInvariants:
 
         quotient = Dag(["A", "BC", "D", "E"], [("A", "BC"), ("D", "E")])
         mapping = {"A": "A", "B": "BC", "C": "BC", "D": "D", "E": "E"}
-        with pytest.raises(ValidationError, match="edge preservation"):
+        # B -> D and C -> D both lack an image; the smaller is named
+        with pytest.raises(ValidationError, match="edge preservation violated: B -> D "):
             SummaryDag(g1, quotient, mapping, tuple("ABCDE"))
 
     def test_base_order_must_be_topological(self, g1, h1):
         from causalsumm import SummaryDag
 
-        with pytest.raises(ValidationError, match="topological"):
+        with pytest.raises(ValidationError, match="topological: edge A -> B goes backwards"):
             SummaryDag(g1, h1.quotient, h1.mapping, tuple("EDCBA"))
 
     @given(dags(min_nodes=2, max_nodes=6), st.randoms(use_true_random=False))
