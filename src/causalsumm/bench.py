@@ -9,7 +9,9 @@ call, so every artifact is reproducible from its parameters.
 
 import csv
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -57,21 +59,34 @@ class ComparisonReport:
     additional_edges_b: int
 
 
+#: the most uniforms drawn at once, so memory stays bounded at large n
+_DRAW_BLOCK = 1 << 20
+
+
 def gen_random_dag(spec):
     """A random DAG: uniform topological order, each forward edge i.i.d.
 
     Labels are X01..Xn (zero-padded so lexicographic and numeric order
-    agree). Deterministic in ``spec.seed``.
+    agree). Deterministic in ``spec.seed``. The pairs (i, j > i) of the
+    order take one uniform each, row by row; they are drawn in blocks of
+    at most ``_DRAW_BLOCK``, which gives the same numbers as one draw per
+    pair.
     """
     rng = np.random.default_rng(spec.seed)
-    width = len(str(spec.n))
-    labels = [f"X{i + 1:0{width}d}" for i in range(spec.n)]
-    order = [labels[i] for i in rng.permutation(spec.n)]
+    n = spec.n
+    width = len(str(n))
+    labels = [f"X{i + 1:0{width}d}" for i in range(n)]
+    order = [labels[i] for i in rng.permutation(n)]
+    # pair k of the flattened upper triangle lies in row i, the number of
+    # rows that end at or before k, and column j = k - ends[i] + n
+    ends = list(accumulate(range(n - 1, 0, -1)))
+    pairs = n * (n - 1) // 2
     edges = []
-    for i in range(spec.n):
-        for j in range(i + 1, spec.n):
-            if rng.random() < spec.density:
-                edges.append((order[i], order[j]))
+    for start in range(0, pairs, _DRAW_BLOCK):
+        draws = rng.random(min(_DRAW_BLOCK, pairs - start))
+        for k in (start + np.flatnonzero(draws < spec.density)).tolist():
+            i = bisect_right(ends, k)
+            edges.append((order[i], order[k - ends[i] + n]))
     return Dag(labels, edges)
 
 

@@ -13,6 +13,7 @@ import io
 import json
 import re
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -85,16 +86,24 @@ def _require_version(doc):
 
 
 def _labels(values):
-    return isinstance(values, list) and all(isinstance(v, str) for v in values)
+    # one pass over the types; only a list of str subclasses needs the second
+    return isinstance(values, list) and (
+        {*map(type, values)} <= {str} or all(isinstance(v, str) for v in values)
+    )
 
 
 def _edge_pairs(edges, what):
     _require(isinstance(edges, list), f"{what} needs an 'edges' list")
-    for e in edges:
-        _require(
-            _labels(e) and len(e) == 2, f"edge must be a [tail, head] pair of labels: {e}"
-        )
-    return [tuple(e) for e in edges]
+    if not (
+        {*map(type, edges)} <= {list}
+        and {*map(len, edges)} <= {2}
+        and {*map(type, chain.from_iterable(edges))} <= {str}
+    ):
+        for e in edges:  # name the first edge that is not a pair of labels
+            _require(
+                _labels(e) and len(e) == 2, f"edge must be a [tail, head] pair of labels: {e}"
+            )
+    return list(map(tuple, edges))
 
 
 def _dag_from_doc(doc):
@@ -266,18 +275,32 @@ def _summary_from_doc(doc):
     edges = _edge_pairs(doc["edges"], "summary document")
     clusters = doc["clusters"]
     _require(isinstance(clusters, dict), "'clusters' must map label -> members")
-    mapping = {}
-    for label, members in clusters.items():
-        _require(isinstance(members, list) and members, f"cluster {label!r} is empty")
-        _require(_labels(members), f"cluster {label!r} members must be labels")
-        for v in members:
-            _require(v not in mapping, f"node {v!r} appears in two clusters")
-            mapping[v] = label
+    mapping = _cluster_mapping(clusters)
     # a mutilated summary skips edge preservation, so only JSON true may say so
     mutilated = doc.get("mutilated", False)
     _require(type(mutilated) is bool, "'mutilated' must be true or false")
     quotient = Dag(list(clusters), edges)
     return SummaryDag(base, quotient, mapping, doc["base_order"], mutilated=mutilated)
+
+
+def _cluster_mapping(clusters):
+    """Member -> cluster label, for clusters that are non-empty lists of
+    labels with no label in two of them."""
+    groups = clusters.values()
+    if {*map(type, groups)} <= {list} and all(groups):
+        members = list(chain.from_iterable(groups))
+        if {*map(type, members)} <= {str} and len(set(members)) == len(members):
+            return {v: label for label, vs in clusters.items() for v in vs}
+    # one cluster at a time, to name the first bad cluster or repeated node
+    mapping = {}
+    for label, members in clusters.items():
+        _require(isinstance(members, list), f"cluster {label!r} must be a list of labels")
+        _require(members, f"cluster {label!r} is empty")
+        _require(_labels(members), f"cluster {label!r} members must be labels")
+        for v in members:
+            _require(v not in mapping, f"node {v!r} appears in two clusters")
+            mapping[v] = label
+    return mapping
 
 
 def summary_to_doc(h):
@@ -557,7 +580,3 @@ def cli(argv=None):
 
 def main():
     sys.exit(cli(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

@@ -8,6 +8,7 @@ so downstream algorithms never re-validate. Graphs are values: every
 
 from collections import deque
 import heapq
+from itertools import chain
 
 #: characters reserved by the file formats (field separators)
 RESERVED_CHARS = frozenset(",;|")
@@ -75,6 +76,68 @@ def _check_label(label):
         raise ValidationError(f"label {label!r} cannot be encoded as UTF-8") from None
 
 
+def _labels_ok(labels):
+    """Are the labels distinct and would each pass ``_check_label``?
+
+    Tested over the whole sequence at once: the labels joined by single
+    spaces split back into exactly the labels iff none is empty or holds
+    whitespace, and one pass each tests that text for reserved characters
+    and for UTF-8. False for anything but plain ``str`` labels, which the
+    per-label check decides.
+    """
+    if not {*map(type, labels)} <= {str} or len(set(labels)) != len(labels):
+        return False
+    text = " ".join(labels)
+    if text.split() != list(labels) or not RESERVED_CHARS.isdisjoint(text):
+        return False
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _check_labels(labels):
+    """Raise at the first label that is bad or repeats an earlier one."""
+    seen = set()
+    for label in labels:
+        _check_label(label)
+        if label in seen:
+            raise ValidationError(f"duplicate node label: {label!r}")
+        seen.add(label)
+
+
+def _check_edges(nodes, edges):
+    """Raise at the first edge with an endpoint outside ``nodes``, a
+    self-loop, or an earlier copy."""
+    seen = set()
+    for tail, head in edges:
+        if tail not in nodes:
+            raise UnknownNodeError(tail)
+        if head not in nodes:
+            raise UnknownNodeError(head)
+        if tail == head:
+            raise ValidationError(f"self-loop on node {tail!r}")
+        if (tail, head) in seen:
+            raise DuplicateEdgeError((tail, head))
+        seen.add((tail, head))
+
+
+def _recover_cycle(parents, indegree):
+    # every node left with indegree > 0 sits on or downstream of a cycle;
+    # walking parents inside that residue must eventually repeat a node
+    residue = {v for v, d in indegree.items() if d > 0}
+    v = min(residue)
+    trail, seen = [], {}
+    while v not in seen:
+        seen[v] = len(trail)
+        trail.append(v)
+        v = min(p for p in parents[v] if p in residue)
+    cycle = trail[seen[v]:] + [v]
+    cycle.reverse()  # parent-walk found it against edge direction
+    return cycle
+
+
 class Dag:
     """A labeled directed acyclic graph, immutable after construction.
 
@@ -101,36 +164,44 @@ class Dag:
     __slots__ = ("_order", "_nodes", "_edges", "_parents", "_children")
 
     def __init__(self, nodes, edges=()):
-        order = []
-        seen = set()
-        for label in nodes:
-            _check_label(label)
-            if label in seen:
-                raise ValidationError(f"duplicate node label: {label!r}")
-            seen.add(label)
-            order.append(label)
-        self._order = tuple(order)
-        self._nodes = frozenset(seen)
+        # Each check tests the whole input at once; only when one fails does
+        # the per-item loop run, to raise the error that names the offender.
+        order = tuple(nodes)
+        if not _labels_ok(order):
+            _check_labels(order)  # names the first bad or repeated label
+        node_set = frozenset(order)
 
+        edges = list(edges)
         parents = {v: set() for v in order}
         children = {v: set() for v in order}
-        edge_set = set()
-        for tail, head in edges:
-            if tail not in self._nodes:
-                raise UnknownNodeError(tail)
-            if head not in self._nodes:
-                raise UnknownNodeError(head)
-            if tail == head:
-                raise ValidationError(f"self-loop on node {tail!r}")
-            if (tail, head) in edge_set:
-                raise DuplicateEdgeError((tail, head))
-            edge_set.add((tail, head))
-            children[tail].add(head)
-            parents[head].add(tail)
+        try:
+            edge_set = set(map(tuple, edges))
+            for tail, head in edge_set:  # an unknown endpoint raises KeyError
+                children[tail].add(head)
+                parents[head].add(tail)
+        except (TypeError, ValueError, KeyError):  # not a pair of known labels
+            edge_set = None
+        if edge_set is None or len(edge_set) != len(edges):
+            _check_edges(node_set, edges)  # raises, naming the first bad edge
+        # Kahn's procedure: a self-loop or a cycle leaves nodes unemitted
+        indegree = dict(zip(order, map(len, parents.values())))
+        ready = [v for v in order if not indegree[v]]
+        for v in ready:
+            for child in children[v]:
+                left = indegree[child] - 1
+                indegree[child] = left
+                if not left:
+                    ready.append(child)
+        if len(ready) != len(order):
+            _check_edges(node_set, edges)  # a self-loop is named before any cycle
+            raise CycleError(_recover_cycle(parents, indegree))
+
+        self._order = order
+        self._nodes = node_set
+        # frozensets copied from sets are sized to their contents
         self._edges = frozenset(edge_set)
-        self._parents = {v: frozenset(ps) for v, ps in parents.items()}
-        self._children = {v: frozenset(cs) for v, cs in children.items()}
-        self._raise_if_cyclic()
+        self._parents = dict(zip(order, map(frozenset, parents.values())))
+        self._children = dict(zip(order, map(frozenset, children.values())))
 
     # === structure ===
 
@@ -238,34 +309,6 @@ class Dag:
                 result.add(v)
                 frontier.extend(self._parents[v])
         return frozenset(result)
-
-    def _raise_if_cyclic(self):
-        indegree = {v: len(self._parents[v]) for v in self._order}
-        queue = deque(v for v in self._order if indegree[v] == 0)
-        emitted = 0
-        while queue:
-            v = queue.popleft()
-            emitted += 1
-            for child in self._children[v]:
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    queue.append(child)
-        if emitted != len(self._order):
-            raise CycleError(self._recover_cycle(indegree))
-
-    def _recover_cycle(self, indegree):
-        # every node left with indegree > 0 sits on or downstream of a cycle;
-        # walking parents inside that residue must eventually repeat a node
-        residue = {v for v, d in indegree.items() if d > 0}
-        v = min(residue)
-        trail, seen = [], {}
-        while v not in seen:
-            seen[v] = len(trail)
-            trail.append(v)
-            v = min(p for p in self._parents[v] if p in residue)
-        cycle = trail[seen[v]:] + [v]
-        cycle.reverse()  # parent-walk found it against edge direction
-        return cycle
 
 
 def topological_order(g):

@@ -298,8 +298,11 @@ def _edge_without_image(h, edges):
     """The smallest of ``edges`` that joins two clusters with no quotient
     edge between them, or None when every edge has an image in ``h``."""
     f, has_edge = h.mapping, h.quotient.has_edge
-    bad = ((u, v) for u, v in edges if (a := f[u]) != (b := f[v]) and not has_edge(a, b))
-    return min(bad, default=None)
+    # the distinct cluster pairs first; only a missing one needs the edge scan
+    missing = {(f[u], f[v]) for u, v in edges} - h.quotient.edges
+    if all(a == b for a, b in missing):
+        return None
+    return min((u, v) for u, v in edges if (a := f[u]) != (b := f[v]) and not has_edge(a, b))
 
 
 def _check_order(g, order, name, owner):

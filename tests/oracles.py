@@ -508,3 +508,212 @@ def reference_brute_force_summarize(g, k):
     extend([], 0)
     _, _, assignment, edges = best
     return SummaryDag.from_partition(g, order, dict(zip(order, assignment)), edges)
+
+
+# --- the loader as written before its checks ran over whole collections -------
+#
+# ``reference_dag`` is the per-label, per-edge ``Dag`` constructor and
+# ``reference_summary_from_doc`` the per-item summary loader, each building
+# the same values as the package. Only the cluster check differs from the
+# first version: a cluster that is not a list is named as such, not as empty.
+
+
+def _reference_check_label(label):
+    from causalsumm.graph_core import RESERVED_CHARS, ValidationError
+
+    if not isinstance(label, str) or not label:
+        raise ValidationError(f"node labels must be non-empty text, got {label!r}")
+    if label.split() != [label]:  # split() cuts at exactly the str.isspace() characters
+        raise ValidationError(f"label {label!r} contains whitespace (reserved)")
+    bad = RESERVED_CHARS.intersection(label)
+    if bad:
+        raise ValidationError(
+            f"label {label!r} contains reserved character {sorted(bad)[0]!r}"
+        )
+    try:
+        label.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError(f"label {label!r} cannot be encoded as UTF-8") from None
+
+
+def reference_dag(nodes, edges=()):
+    """``Dag(nodes, edges)``, one label and one edge at a time."""
+    from collections import deque
+
+    from causalsumm.graph_core import (
+        CycleError,
+        Dag,
+        DuplicateEdgeError,
+        UnknownNodeError,
+        ValidationError,
+    )
+
+    self = Dag.__new__(Dag)
+    order = []
+    seen = set()
+    for label in nodes:
+        _reference_check_label(label)
+        if label in seen:
+            raise ValidationError(f"duplicate node label: {label!r}")
+        seen.add(label)
+        order.append(label)
+    self._order = tuple(order)
+    self._nodes = frozenset(seen)
+
+    parents = {v: set() for v in order}
+    children = {v: set() for v in order}
+    edge_set = set()
+    for tail, head in edges:
+        if tail not in self._nodes:
+            raise UnknownNodeError(tail)
+        if head not in self._nodes:
+            raise UnknownNodeError(head)
+        if tail == head:
+            raise ValidationError(f"self-loop on node {tail!r}")
+        if (tail, head) in edge_set:
+            raise DuplicateEdgeError((tail, head))
+        edge_set.add((tail, head))
+        children[tail].add(head)
+        parents[head].add(tail)
+    self._edges = frozenset(edge_set)
+    self._parents = {v: frozenset(ps) for v, ps in parents.items()}
+    self._children = {v: frozenset(cs) for v, cs in children.items()}
+
+    indegree = {v: len(self._parents[v]) for v in self._order}
+    queue = deque(v for v in self._order if indegree[v] == 0)
+    emitted = 0
+    while queue:
+        v = queue.popleft()
+        emitted += 1
+        for child in self._children[v]:
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                queue.append(child)
+    if emitted != len(self._order):
+        # every node left with indegree > 0 sits on or downstream of a cycle;
+        # walking parents inside that residue must eventually repeat a node
+        residue = {v for v, d in indegree.items() if d > 0}
+        v = min(residue)
+        trail, seen = [], {}
+        while v not in seen:
+            seen[v] = len(trail)
+            trail.append(v)
+            v = min(p for p in self._parents[v] if p in residue)
+        cycle = trail[seen[v]:] + [v]
+        cycle.reverse()  # parent-walk found it against edge direction
+        raise CycleError(cycle)
+    return self
+
+
+def _reference_labels(values):
+    return isinstance(values, list) and all(isinstance(v, str) for v in values)
+
+
+def _reference_edge_pairs(edges, what):
+    from causalsumm.cli_io import _require
+
+    _require(isinstance(edges, list), f"{what} needs an 'edges' list")
+    for e in edges:
+        _require(
+            _reference_labels(e) and len(e) == 2,
+            f"edge must be a [tail, head] pair of labels: {e}",
+        )
+    return [tuple(e) for e in edges]
+
+
+def reference_dag_from_doc(doc):
+    """A graph document's ``Dag``, checked one item at a time."""
+    from causalsumm.cli_io import _require, _require_version
+
+    _require(isinstance(doc, dict), "graph document must be an object")
+    _require_version(doc)
+    nodes = doc.get("nodes")
+    _require(isinstance(nodes, list), "graph document needs a 'nodes' list")
+    return reference_dag(nodes, _reference_edge_pairs(doc.get("edges", []), "graph document"))
+
+
+def _reference_check_order(g, order, name, owner):
+    from causalsumm import ValidationError
+
+    if set(order) != g.node_set or len(order) != g.num_nodes:
+        raise ValidationError(f"{name} must be a permutation of the {owner} nodes")
+    position = {v: i for i, v in enumerate(order)}
+    edge = min(((u, v) for u, v in g.edges if position[u] >= position[v]), default=None)
+    if edge is not None:
+        u, v = edge
+        raise ValidationError(f"{name} is not topological: edge {u} -> {v} goes backwards")
+
+
+def reference_summary(base, quotient, mapping, base_order, mutilated=False):
+    """``SummaryDag(...)``, validated by a scan over every base edge."""
+    from causalsumm import SummaryDag, ValidationError
+
+    self = SummaryDag.__new__(SummaryDag)
+    self.base = base
+    self.quotient = quotient
+    self.mapping = dict(mapping)
+    self.base_order = tuple(base_order)
+    self.mutilated = bool(mutilated)
+    self._fibers = None
+    _reference_check_order(self.base, self.base_order, "base_order", "base")
+    if set(self.mapping) != self.base.node_set:
+        raise ValidationError("mapping must be total on the base nodes")
+    images = set(self.mapping.values())
+    if images != self.quotient.node_set:
+        raise ValidationError("mapping must be surjective onto the quotient nodes")
+    f, has_edge = self.mapping, self.quotient.has_edge
+    bad = ((u, v) for u, v in base.edges if (a := f[u]) != (b := f[v]) and not has_edge(a, b))
+    edge = None if self.mutilated else min(bad, default=None)
+    if edge is not None:
+        u, v = edge
+        raise ValidationError(
+            f"edge preservation violated: {u} -> {v} has no image "
+            f"{self.mapping[u]} -> {self.mapping[v]} in the quotient"
+        )
+    return self
+
+
+def reference_summary_from_doc(doc):
+    """A summary document's ``SummaryDag``, checked one item at a time."""
+    from causalsumm.cli_io import _require, _require_version
+
+    _require(isinstance(doc, dict), "summary document must be an object")
+    _require_version(doc)
+    for key in ("base", "base_order", "clusters", "edges"):
+        _require(key in doc, f"summary document needs {key!r}")
+    base = reference_dag_from_doc(doc["base"])
+    _require(_reference_labels(doc["base_order"]), "'base_order' must be a list of labels")
+    edges = _reference_edge_pairs(doc["edges"], "summary document")
+    clusters = doc["clusters"]
+    _require(isinstance(clusters, dict), "'clusters' must map label -> members")
+    mapping = {}
+    for label, members in clusters.items():
+        _require(isinstance(members, list), f"cluster {label!r} must be a list of labels")
+        _require(members, f"cluster {label!r} is empty")
+        _require(_reference_labels(members), f"cluster {label!r} members must be labels")
+        for v in members:
+            _require(v not in mapping, f"node {v!r} appears in two clusters")
+            mapping[v] = label
+    # a mutilated summary skips edge preservation, so only JSON true may say so
+    mutilated = doc.get("mutilated", False)
+    _require(type(mutilated) is bool, "'mutilated' must be true or false")
+    quotient = reference_dag(list(clusters), edges)
+    return reference_summary(base, quotient, mapping, doc["base_order"], mutilated=mutilated)
+
+
+def reference_gen_random_dag(spec):
+    """``gen_random_dag`` with one scalar draw per forward pair."""
+    import numpy as np
+
+    from causalsumm import Dag
+
+    rng = np.random.default_rng(spec.seed)
+    width = len(str(spec.n))
+    labels = [f"X{i + 1:0{width}d}" for i in range(spec.n)]
+    order = [labels[i] for i in rng.permutation(spec.n)]
+    edges = []
+    for i in range(spec.n):
+        for j in range(i + 1, spec.n):
+            if rng.random() < spec.density:
+                edges.append((order[i], order[j]))
+    return Dag(labels, edges)

@@ -25,10 +25,22 @@ from causalsumm import (
     trivial_summary,
     write_report,
 )
+from causalsumm import bench
 from causalsumm.fixtures import redshift, redshift_missing_edge
 from causalsumm.graph_core import topological_order
-from oracles import all_set_partitions, partition_summary, reference_brute_force_summarize
+from causalsumm.separation import SeparationQuery, d_separated
+from causalsumm.summary import ground_ci, summary_recursive_basis
+from conftest import dags
+from oracles import (
+    all_set_partitions,
+    compatible_dags,
+    moral_d_separated,
+    partition_summary,
+    reference_brute_force_summarize,
+    reference_gen_random_dag,
+)
 from test_cagres import random_dags
+from test_summary import _random_summary
 
 
 class TestGenRandomDag:
@@ -68,6 +80,23 @@ class TestGenRandomDag:
         assert gen_random_dag(spec) == gen_random_dag(spec)
         other = gen_random_dag(GenSpec(n=8, density=0.4, seed=43))
         assert gen_random_dag(spec) != other
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        density=st.sampled_from([0, 1, 0.0, 1.0, 0.05, 0.5]) | st.floats(0, 1),
+        seed=st.integers(0, 2**32),
+        block=st.sampled_from([1, 7, 64, bench._DRAW_BLOCK]),
+    )
+    def test_matches_one_draw_per_pair(self, n, density, seed, block):
+        # the block draws give the numbers of one scalar draw per pair,
+        # wherever a block boundary falls in a row
+        spec = GenSpec(n, density, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bench, "_DRAW_BLOCK", block)
+            g = gen_random_dag(spec)
+        expected = reference_gen_random_dag(spec)
+        assert (g.nodes, g.edges) == (expected.nodes, expected.edges)
 
     @given(st.integers(0, 10_000), st.sampled_from([0.2, 0.5, 0.8]))
     @settings(max_examples=40)
@@ -180,6 +209,22 @@ class TestImplicationPercentage:
     def test_empty_basis_counts_as_full(self):
         lone = trivial_summary(Dag("A", []))
         assert implication_percentage(lone, lone) == 100.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(dags(min_nodes=3, max_nodes=5), st.randoms(use_true_random=False))
+    def test_counted_statements_hold_in_every_compatible_dag(self, g, rng):
+        # a statement of b's basis counts as implied only when a guarantees
+        # it: it holds in every DAG the summary a stands for
+        a = _random_summary(g, rng)
+        b = trivial_summary(g) if rng.random() < 0.5 else _random_summary(g, rng)
+        statements = [ground_ci(b, s) for s in summary_recursive_basis(b)]
+        canon = canonical(a)
+        implied = [s for s in statements if d_separated(canon, SeparationQuery(s.x, s.y, s.z))]
+        expected = 100.0 * len(implied) / len(statements) if statements else 100.0
+        assert implication_percentage(a, b) == expected
+        for _, edges in compatible_dags(a):
+            for s in implied:
+                assert moral_d_separated(edges, s.x, s.y, s.z), (edges, s)
 
     def test_base_graphs_must_match(self, h1, redshift):
         with pytest.raises(ValidationError, match="same base"):

@@ -171,6 +171,25 @@ class TestSummaryFiles:
         with pytest.raises(ValidationError, match="JSON"):
             load_summary(path)
 
+    @pytest.mark.parametrize(
+        "members, message",
+        [
+            ("A", "cluster 'A' must be a list of labels"),
+            ({"A": 1}, "cluster 'A' must be a list of labels"),
+            ([], "cluster 'A' is empty"),
+            (["A", 1], "cluster 'A' members must be labels"),
+        ],
+    )
+    def test_bad_cluster_is_named(self, h1, tmp_path, members, message):
+        from causalsumm.cli_io import summary_to_doc
+
+        doc = summary_to_doc(h1)
+        doc["clusters"]["A"] = members
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            load_summary(path)
+
     def test_overlapping_clusters_are_rejected(self, h1, tmp_path):
         from causalsumm.cli_io import summary_to_doc
 
@@ -216,21 +235,6 @@ class TestCanonicalExport:
         h = partition_summary(g, ("A", "B", "AB", 'a"b'), [["A", "B"], ["AB"], ['a"b']])
         assert h.quotient.nodes == ("AB#2", "AB", 'a"b')
         self.assert_export_matches(h, tmp_path)
-
-    def test_builds_no_grounded_dag(self, fixtures_dir, tmp_path, monkeypatch, h1):
-        sizes = []
-        init = Dag.__init__
-
-        def recording_init(self, nodes, edges=()):
-            edges = list(edges)
-            sizes.append(len(edges))
-            init(self, nodes, edges)
-
-        monkeypatch.setattr(Dag, "__init__", recording_init)
-        out = str(tmp_path / "c.json")
-        assert cli(["canonical", "--in", str(fixtures_dir / "h1.json"), "--out", out]) == 0
-        # only the summary's base and quotient are built
-        assert sizes == [h1.base.num_edges, h1.quotient.num_edges]
 
 
 class TestSimilarityCsv:
@@ -471,17 +475,59 @@ class TestParserReuse:
         assert "usage:" in shared[4][2]
 
 
-def test_console_script(fixtures_dir):
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        # a summary load builds only the base and the quotient
+        (["canonical", "--in", "h1.json", "--out", "c.json"], []),
+        (["query", "--in", "h1.json", "--mode", "ssep", "--x", "E", "--y", "A", "--z", "D"], []),
+        (["rb", "--in", "h1.json"], []),
+        # each rule d-separates in one or two mutilations of the quotient
+        (["docalc", "--in", "h1.json", "--rule", "r1", "--y", "E", "--z", "A"], [(4, 3)]),
+        (["docalc", "--in", "h1.json", "--rule", "r2", "--y", "E", "--z", "BC"], [(4, 2)]),
+        (["docalc", "--in", "h1.json", "--rule", "r3", "--y", "A", "--z", "D", "--x", "BC"],
+         [(4, 2), (4, 1)]),
+        # the second load, then each direction's canonical DAG
+        (["metrics", "--a", "h1.json", "--b", "h2.json"], [(5, 5), (4, 4), (5, 8), (5, 6)]),
+    ],
+    ids=["canonical", "ssep", "rb", "docalc-r1", "docalc-r2", "docalc-r3", "metrics"],
+)
+def test_dag_builds_are_pinned(fixtures_dir, tmp_path, monkeypatch, capsys, argv, builds):
+    # every Dag a command builds, as (nodes, edges): no command rebuilds a
+    # graph it loaded, and canonical --out never builds the grounded graph
+    recorded = []
+    init = Dag.__init__
+
+    def recording_init(self, nodes, edges=()):
+        nodes, edges = list(nodes), list(edges)
+        recorded.append((len(nodes), len(edges)))
+        init(self, nodes, edges)
+
+    monkeypatch.setattr(Dag, "__init__", recording_init)
+    folder = {"h1.json": fixtures_dir, "h2.json": fixtures_dir, "c.json": tmp_path}
+    assert cli([str(folder[a] / a) if a in folder else a for a in argv]) == 0
+    capsys.readouterr()
+    assert recorded == [(5, 5), (4, 3)] + builds
+
+
+def test_console_script(fixtures_dir, tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "causalsumm.cli_io", "rb", "--in", str(fixtures_dir / "g1.json")],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "causalsumm", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+
+    proc = run("rb", "--in", str(fixtures_dir / "g1.json"))
+    assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == ["C | B | A", "D | A | B,C", "E | A,B,C | D"]
+    proc = run("rb", "--in", str(tmp_path / "missing.json"))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -641,3 +687,132 @@ class TestLoaderFuzz:
             load_summary(path)
         assert cli(["rb", "--in", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+#: values no label may take: empty, with whitespace or a reserved character,
+#: not UTF-8, or not text
+BAD_LABELS = ["", " ", "a b", "x\t", "a,b", "|", ";", "\ud800", 1, None, ["A"], {"A": 1}]
+
+
+@st.composite
+def mangled(draw, doc):
+    """``doc`` after one to three edits of entries other than a version: a
+    label swapped for a bad one or one already in use, a list entry dropped
+    or repeated, a list reversed or two of its entries swapped, a key
+    renamed, an entry replaced by random JSON, or an edge dropped or added
+    between two labels already in use."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        slots = []  # (container, key) of every entry but a version
+
+        def collect(node):
+            keys = list(node) if isinstance(node, dict) else range(len(node))
+            for key in keys:
+                if key != "version":
+                    slots.append((node, key))
+                    if isinstance(node[key], (dict, list)):
+                        collect(node[key])
+
+        collect(doc)
+        labels = sorted({v for node, key in slots if isinstance(v := node[key], str)})
+        edit = draw(
+            st.sampled_from(
+                ["label", "drop", "repeat", "reverse", "swap", "rename", "json", "edge"]
+            )
+        )
+        fits = {
+            "swap": lambda node, key: isinstance(node[key], list) and len(node[key]) > 1,
+            "edge": lambda node, key: key == "edges" and isinstance(node[key], list),
+            "label": lambda node, key: isinstance(node[key], str),
+            "drop": lambda node, key: isinstance(node, list),
+            "repeat": lambda node, key: isinstance(node, list),
+            "reverse": lambda node, key: isinstance(node[key], list),
+            "rename": lambda node, key: isinstance(node, dict),
+            "json": lambda node, key: True,
+        }[edit]
+        targets = [slot for slot in slots if fits(*slot)]
+        if not targets:
+            continue
+        node, key = draw(st.sampled_from(targets))
+        if edit == "label":
+            node[key] = copy.deepcopy(draw(st.sampled_from(labels + BAD_LABELS)))
+        elif edit == "drop":
+            del node[key]
+        elif edit == "repeat":
+            node.insert(key, copy.deepcopy(node[key]))
+        elif edit == "reverse":
+            node[key].reverse()
+        elif edit == "swap":
+            i, j = draw(st.permutations(range(len(node[key]))))[:2]
+            node[key][i], node[key][j] = node[key][j], node[key][i]
+        elif edit == "edge" and node[key] and draw(st.booleans()):
+            node[key].pop(draw(st.integers(0, len(node[key]) - 1)))
+        elif edit == "edge":  # perhaps a self-loop, a repeat, or closing a cycle
+            ends = st.sampled_from(labels or ["A"])
+            node[key].append([draw(ends), draw(ends)])
+        elif edit == "rename":
+            new = draw(st.sampled_from(labels + [k for k in BAD_LABELS if isinstance(k, str)]))
+            items = [(new if k == key else k, v) for k, v in node.items()]
+            node.clear()
+            node.update(items)
+        else:
+            node[key] = draw(json_values)
+    return doc
+
+
+@st.composite
+def graph_and_summary_docs(draw):
+    """The graph and summary documents of a random (possibly mutilated)
+    summary over tricky labels."""
+    from causalsumm.cli_io import _dag_to_doc, summary_to_doc
+
+    g = draw(tricky_dags(max_nodes=6))
+    rng = draw(st.randoms(use_true_random=False))
+    h = _random_summary(g, rng)
+    if rng.random() < 0.3:
+        h = _random_mutilation(h, rng)
+    return _dag_to_doc(g), summary_to_doc(h)
+
+
+def _outcome(load, doc):
+    """What loading ``doc`` gives: the value's every field, or the error."""
+    try:
+        value = load(doc)
+    except Exception as exc:  # the oracle must raise the same, whatever it is
+        return type(exc), str(exc)
+
+    def fields(g):
+        return g.nodes, g.edges, [(g.parents(v), g.children(v)) for v in g.nodes]
+
+    if isinstance(value, Dag):
+        return fields(value)
+    return (
+        fields(value.base),
+        fields(value.quotient),
+        list(value.mapping.items()),
+        value.base_order,
+        value.mutilated,
+    )
+
+
+class TestLoaderMatchesThePerItemOracle:
+    """The loaders check whole collections at once and fall back to the
+    per-item loop only to name the offender: every document must load to
+    the same value as the per-item loader, or fail with the same error."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(docs=graph_and_summary_docs(), data=st.data())
+    def test_same_value_or_same_error(self, docs, data):
+        from causalsumm.cli_io import _dag_from_doc, _summary_from_doc
+        from oracles import reference_dag_from_doc, reference_summary_from_doc
+
+        graph, summary = docs
+        if data.draw(st.booleans()):
+            graph = data.draw(mangled(graph))
+            summary = data.draw(mangled(summary))
+        # what a file holds: JSON text parsed back
+        graph, summary = json.loads(json.dumps(graph)), json.loads(json.dumps(summary))
+        assert _outcome(_dag_from_doc, graph) == _outcome(reference_dag_from_doc, graph)
+        assert _outcome(_summary_from_doc, summary) == _outcome(
+            reference_summary_from_doc, summary
+        )

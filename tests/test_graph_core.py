@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalsumm import (
@@ -13,7 +13,16 @@ from causalsumm import (
     trivial_summary,
 )
 from conftest import dags
-from oracles import has_long_path, naive_contraction_is_cyclic
+from oracles import has_long_path, naive_contraction_is_cyclic, reference_dag
+
+# labels Dag refuses (empty, whitespace, reserved, not UTF-8, not text) or
+# that no graph below declares
+odd_labels = st.sampled_from(["", "a b", "\t", "a,b", "|", "x;", "\ud800", 3, None, ("A",), "Z"])
+some_labels = st.sampled_from("ABCDE") | odd_labels
+
+
+class StrLabel(str):
+    """A label of a str subclass, which the per-label check accepts."""
 
 
 class TestDagConstruction:
@@ -47,6 +56,34 @@ class TestDagConstruction:
     def test_bad_labels_rejected(self, label):
         with pytest.raises(ValidationError):
             Dag([label])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        nodes=st.permutations("ABCDE")
+        | st.tuples(st.permutations("ABCDE"), st.integers(0, 4), odd_labels).map(
+            lambda t: t[0][: t[1]] + [t[2]] + t[0][t[1] + 1 :]
+        )
+        | st.lists(some_labels, max_size=6)
+        | st.permutations("ABCDE").map(lambda vs: [StrLabel(v) for v in vs]),
+        edges=st.lists(st.permutations("ABCDE").map(lambda vs: tuple(vs[:2])), max_size=8)
+        | st.lists(
+            st.tuples(some_labels, some_labels)
+            | st.lists(st.sampled_from("ABCDE"), max_size=3)
+            | st.sampled_from([None, "AB", ["A", ["B"]]]),
+            max_size=8,
+        ),
+    )
+    def test_matches_the_per_item_constructor(self, nodes, edges):
+        # whole-collection checks, and the per-item loop only on a failure:
+        # the same graph as the per-item constructor, or the same error
+        def outcome(build):
+            try:
+                g = build(nodes, edges)
+            except Exception as exc:
+                return type(exc), str(exc)
+            return g.nodes, g.edges, [(g.parents(v), g.children(v)) for v in g.nodes]
+
+        assert outcome(Dag) == outcome(reference_dag)
 
     def test_equality_ignores_node_order(self):
         assert Dag("AB", [("A", "B")]) == Dag("BA", [("A", "B")])
