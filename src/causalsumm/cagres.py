@@ -8,18 +8,27 @@ DAG would gain.
 ``summarize`` and the random baseline ``bench.random_summarize`` run on
 one incremental engine instead of rebuilding a summary per merge. The
 engine keeps the working partition as integer cluster ids with their
-members, sizes, labels and a quotient adjacency matrix. Reachability is
-kept as Python-int bitsets: a merge ORs the merged row into the rows of
-its ancestors, in the style of incremental transitive closure (Italiano,
-TCS 1986), so validity is a bit test. Merge prices are memoized per
-pair; a merge marks only its neighbourhood for re-pricing, the pattern of
-agglomerative clustering (Müllner, arXiv:1109.2378). Every iteration
-still scans all valid pairs in label order (vectorized with numpy), so
-the output, tie-break coins included, equals the plain rescan kept in the
-tests as the reference. The summary is built once, at the end.
+members, sizes, labels and a quotient adjacency matrix, and a merge
+updates each of them in place:
+
+- Reachability is kept as Python-int bitsets: a merge ORs the merged
+  row into the rows of its ancestors, in the style of incremental
+  transitive closure (Italiano, TCS 1986). Validity is a boolean matrix
+  whose rows are refreshed from those bitsets only for the ancestors.
+- Merge prices are memoized per pair; a merge marks only its
+  neighbourhood for re-pricing, the pattern of agglomerative clustering
+  (Müllner, arXiv:1109.2378). Re-pricing is one float64 matrix product
+  per block of rows, exact because every price is a small integer.
+- The live clusters are kept sorted by label; a merge moves one of them.
+
+Every iteration still scans all valid pairs in label order, as one
+vectorized pass over the label-ordered grid, so the output, tie-break
+coins included, equals the plain rescan kept in the tests as the
+reference. The summary is built once, at the end.
 """
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,13 +101,22 @@ class _Engine:
     """The working partition of a greedy run, updated in place by each merge.
 
     Clusters are integer ids; a merge keeps the first id and retires the
-    second. ``adj`` is the quotient's 0/1 adjacency matrix (``adj[x, y]``
-    is an edge x -> y) and ``size`` the member counts. Bit y of a bitset
-    row stands for cluster y: ``reach[x]`` holds x and every cluster x
-    reaches, ``far[x]`` the clusters x reaches by a path of at least two
-    edges, and ``clash[x]`` the clusters with a member below the
-    similarity threshold to one of x's. ``memo`` holds merge prices; the
-    rows of ``stale`` clusters are due for re-pricing. ``summary()``
+    second. ``links[x]`` is x's 0/1 row of parents followed by its row of
+    children, so ``adj = links[:, n:]`` is the quotient's adjacency matrix
+    (``adj[x, y]`` is an edge x -> y). ``size`` holds the member counts
+    and ``weight`` the total size of each cluster's neighbours; all three
+    are float64, so pricing runs as a BLAS product. Bit y of a bitset
+    stands for cluster y: ``kids[x]`` holds x's children and ``reach[x]``
+    holds x and every cluster x reaches. ``clash`` is the boolean matrix
+    of pairs with a member pair below the similarity threshold (None
+    without a similarity). ``memo`` holds merge prices; the rows of
+    ``stale`` clusters are due for re-pricing.
+
+    The first scan or merge adds what one-shot queries (``get_cost``,
+    ``is_valid_pair``) never read: members sorted in base order, ``far``,
+    the boolean matrix of pairs joined by a path of at least two edges,
+    and ``order``, the live ids sorted by label. A retired id leaves
+    ``order``, so no scan reads its rows or columns again. ``summary()``
     builds the result.
     """
 
@@ -108,27 +126,35 @@ class _Engine:
         self.labels = list(quotient.nodes)
         self.ids = {label: i for i, label in enumerate(self.labels)}
         n = len(self.labels)
-        self.members = [
-            sorted(clusters[label], key=self.position.__getitem__) for label in self.labels
-        ]
-        self.plain = self._plain(range(n))
-        self.size = np.array([len(vs) for vs in self.members], dtype=np.int64)
+        self.members = [list(clusters[label]) for label in self.labels]
+        self.size = np.array([len(vs) for vs in self.members], dtype=float)
         children = [[self.ids[c] for c in quotient.children(label)] for label in self.labels]
-        edges = [(x, w) for x, heads in enumerate(children) for w in heads]
-        self.adj = np.zeros((n, n), dtype=np.int64)
-        self.adj[[x for x, _ in edges], [w for _, w in edges]] = 1
+        tails = [x for x, heads in enumerate(children) for _ in heads]
+        heads = [w for ws in children for w in ws]
+        self.links = np.zeros((n, 2 * n))
+        self.links[heads, tails] = self.links[tails, [n + w for w in heads]] = 1
+        self.adj = self.links[:, n:]
         self.alive = list(range(n))
+        self.kids = [sum(1 << w for w in ws) for ws in children]
         self.reach = [0] * n
-        for label in reversed(topological_order(quotient)):
-            x = self.ids[label]
+        parents = [[] for _ in range(n)]
+        for x, w in zip(tails, heads):
+            parents[w].append(x)
+        left = [len(ws) for ws in children]
+        done = [x for x in range(n) if not left[x]]
+        for x in done:  # Kahn's procedure from the sinks up
             row = 1 << x
             for w in children[x]:
                 row |= self.reach[w]
             self.reach[x] = row
-        self.far = [self._far_row(heads) for heads in children]
+            for p in parents[x]:
+                left[p] -= 1
+                if not left[p]:
+                    done.append(p)
         self.clash = self._clashes(similarity)
-        self.memo = np.zeros((n, n), dtype=np.int64)
+        self.memo = np.zeros((n, n))
         self.stale = set(self.alive)
+        self.weight = self.far = None
 
     @classmethod
     def of(cls, h, similarity=None):
@@ -140,15 +166,18 @@ class _Engine:
         """An engine over the identity summary of ``g``."""
         return cls(g, topological_order(g), g, {v: (v,) for v in g.nodes}, similarity)
 
-    def _far_row(self, children):
-        row = 0
-        for w in children:
-            row |= self.reach[w] & ~(1 << w)
+    def _far_row(self, x):
+        """The clusters ``x`` reaches by a path of at least two edges, as a bitset."""
+        row, kids = 0, self.kids[x]
+        while kids:
+            low = kids & -kids
+            row |= self.reach[low.bit_length() - 1] & ~low
+            kids ^= low
         return row
 
     def _clashes(self, similarity):
         if similarity is None:
-            return [0] * len(self.labels)
+            return None
         index = similarity._index
         for v in self.base_order:
             if v not in index:
@@ -159,9 +188,7 @@ class _Engine:
         # base positions below the threshold to some member, per cluster;
         # then clusters holding such a position
         near = np.array([below[p].any(axis=0) for p in spots])
-        clash = np.array([near[:, p].any(axis=1) for p in spots])
-        packed = np.packbits(clash, axis=1, bitorder="little")
-        return [int.from_bytes(row.tobytes(), "little") for row in packed]
+        return np.array([near[:, p].any(axis=1) for p in spots])
 
     def id_of(self, label):
         try:
@@ -171,11 +198,11 @@ class _Engine:
 
     def acyclic(self, a, b):
         """Is merging ``a`` and ``b`` free of a directed cycle?"""
-        return not (self.far[a] >> b & 1 or self.far[b] >> a & 1)
+        return not (self._far_row(a) >> b & 1 or self._far_row(b) >> a & 1)
 
     def valid(self, a, b):
         """Is merging ``a`` and ``b`` acyclic and within the similarity?"""
-        return self.acyclic(a, b) and not self.clash[a] >> b & 1
+        return self.acyclic(a, b) and (self.clash is None or not self.clash[a, b])
 
     def prices(self):
         """The merge price of every pair of live clusters, as a matrix."""
@@ -192,61 +219,82 @@ class _Engine:
         and children, weighted by the partner's size. With ``weight`` the
         size of a cluster's neighbours and ``shared`` the size of the
         neighbours two clusters have in common (in the same role) that is
-        |a||b|(1 - linked) + |b|(weight_a - shared - linked|b|)
-        + |a|(weight_b - shared - linked|a|).
+        |a||b| + |b| weight_a + |a| weight_b - (|a| + |b|) shared
+        - linked (|a|^2 + |a||b| + |b|^2). Every term is an integer far
+        below 2^53, so float64 arithmetic is exact.
         """
-        adj, size = self.adj, self.size
-        weight = size @ adj + adj @ size
-        rows = sorted(rows)
+        links, size = self.links, self.size
+        n = len(size)
+        sizes = np.concatenate((size, size))  # the size of each column of links
+        rows = np.fromiter(rows, dtype=np.intp, count=len(rows))
+        if self.weight is None:
+            self.weight = links @ sizes
+        else:
+            self.weight[rows] = links[rows] @ sizes
+        weight = self.weight
         for start in range(0, len(rows), 32):  # keeps the temporaries small
             chunk = rows[start : start + 32]
-            into, out = adj[:, chunk].T, adj[chunk]
-            parents, children = np.flatnonzero(into.any(axis=0)), np.flatnonzero(out.any(axis=0))
-            shared = (into[:, parents] * size[parents]) @ adj[parents]
-            shared += (out[:, children] * size[children]) @ adj[:, children].T
-            linked = into + out
-            s_row, s_col = size[chunk, None], size[None, :]
+            near = links[chunk]
+            roles = near.any(axis=0).nonzero()[0]
+            shared = (near[:, roles] * sizes[roles]) @ links[:, roles].T
+            s_row = size[chunk][:, None]
+            both = s_row + size
+            linked = near[:, :n] + near[:, n:]
             prices = (
-                s_row * s_col * (1 - linked)
-                + s_col * (weight[chunk, None] - shared - linked * s_col)
-                + s_row * (weight[None, :] - shared - linked * s_row)
+                s_row * (size + weight)
+                + size * weight[chunk][:, None]
+                - both * shared
+                - linked * (s_row * both + size * size)
             )
             self.memo[chunk] = prices
             self.memo[:, chunk] = prices.T
 
-    def order(self):
-        """Live cluster ids sorted by label: the scan order of every pass."""
-        return sorted(self.alive, key=self.labels.__getitem__)
+    def _start_scan(self):
+        """Build what scans and merges need and one-shot queries do not:
+        members in base order, ``far``, the scan order and its lower
+        triangle."""
+        n = len(self.labels)
+        for vs in self.members:
+            vs.sort(key=self.position.__getitem__)
+        self.plain = self._plain(self.alive)
+        self.far = np.zeros((n, n), dtype=bool)
+        self.far[self.alive] = self._bits([self._far_row(x) for x in self.alive])
+        self.lower = np.tri(n, dtype=bool)
+        self.order = sorted(self.alive, key=self.labels.__getitem__)
 
     def merge(self, a, b):
         """Contract clusters ``a`` and ``b`` (a valid pair) into cluster ``a``."""
-        adj = self.adj
+        if self.far is None:
+            self._start_scan()
+        links = self.links
+        n = len(links)
+        np.maximum(links[a], links[b], out=links[a])
         # the merge changes the price of exactly the pairs touching a, b or
         # one of their neighbours
-        self.stale.update(np.flatnonzero(adj[a] | adj[b] | adj[:, a] | adj[:, b]).tolist())
+        near = (links[a, :n] + links[a, n:]).nonzero()[0].tolist()
+        self.stale.update(near)
         self.stale.add(a)
         self.stale.discard(b)
-        adj[a] |= adj[b]
-        adj[:, a] |= adj[:, b]
-        adj[b] = adj[:, b] = adj[a, a] = 0
+        sides = links.reshape(n, 2, n)
+        np.maximum(sides[:, :, a], sides[:, :, b], out=sides[:, :, a])
+        links[b] = sides[:, :, b] = sides[a, :, a] = 0
         self.members[a] = sorted(self.members[a] + self.members[b], key=self.position.__getitem__)
         self.size[a] += self.size[b]
-        clash = self.clash[a] | self.clash[b]
-        self.clash[a] = clash
-        while clash:
-            low = clash & -clash
-            y = low.bit_length() - 1
-            self.clash[y] = self.clash[y] & ~(1 << b) | 1 << a
-            clash ^= low
+        if self.clash is not None:
+            self.clash[a] |= self.clash[b]
+            self.clash[:, a] = self.clash[a]
         self.alive.remove(b)
 
         either, not_b = 1 << a | 1 << b, ~(1 << b)
+        for x in near:
+            if self.kids[x] >> b & 1:
+                self.kids[x] = self.kids[x] & not_b | 1 << a
+        self.kids[a] = (self.kids[a] | self.kids[b]) & ~either
         row = (self.reach[a] | self.reach[b]) & not_b
         ancestors = [x for x in self.alive if self.reach[x] & either]
         for x in ancestors:
             self.reach[x] = (self.reach[x] | row) & not_b
-        for x in ancestors:
-            self.far[x] = self._far_row(np.flatnonzero(adj[x]).tolist())
+        self.far[ancestors] = self._bits([self._far_row(x) for x in ancestors])
         self._relabel(a, b)
 
     def _plain(self, ids):
@@ -254,44 +302,60 @@ class _Engine:
 
     def _relabel(self, a, b):
         """Label the live clusters as ``cluster_labels`` would, after ``b``
-        merged into ``a``.
+        merged into ``a``, and keep ``order`` sorted by label.
 
         While every label is its members' concatenation (no ``#n`` suffix
         is in use) and the merged concatenation is not another live label,
-        all concatenations stay distinct, so only ``a``'s label changes.
-        Otherwise every label is recomputed: a collision can add a suffix
-        here, or lift one elsewhere. Testing the labels themselves rather
-        than looking for ``#`` keeps node labels that contain ``#`` on the
-        short path.
+        all concatenations stay distinct, so only ``a``'s label changes
+        and only ``a`` moves in ``order``. Otherwise every label is
+        recomputed: a collision can add a suffix here, or lift one
+        elsewhere. Testing the labels themselves rather than looking for
+        ``#`` keeps node labels that contain ``#`` on the short path.
         """
+        key = self.labels.__getitem__
+        for x in (a, b):
+            del self.order[bisect_left(self.order, key(x), key=key)]
         del self.ids[self.labels[a]], self.ids[self.labels[b]]
         label = "".join(self.members[a])
         if self.plain and label not in self.ids:
             self.labels[a] = label
             self.ids[label] = a
+            insort(self.order, a, key=key)
             return
         live = sorted(self.alive, key=lambda x: self.position[self.members[x][0]])
         for x, label in zip(live, cluster_labels(self.members[x] for x in live)):
             self.labels[x] = label
         self.ids = {self.labels[x]: x for x in live}
         self.plain = self._plain(live)
+        self.order = sorted(self.alive, key=key)
 
     def _bits(self, rows):
-        """Bitset rows unpacked into a boolean matrix, one column per id."""
+        """Bitsets unpacked into a boolean matrix, one column per id."""
         n = len(self.labels)
         width = (n + 7) // 8
         packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows), np.uint8)
         bits = np.unpackbits(packed.reshape(len(rows), width), axis=1, count=n, bitorder="little")
         return bits.view(bool)
 
+    def _grid(self):
+        """The live ids in label order, and which cells of the id-by-id grid
+        in that order are *not* a valid pair: the lower triangle and the
+        pairs that would close a cycle or break the similarity."""
+        if self.far is None:
+            self._start_scan()
+        ids = np.array(self.order)
+        far = self.far.take(ids, 0).take(ids, 1)
+        bad = far | far.T
+        bad |= self.lower[: len(ids), : len(ids)]
+        if self.clash is not None:
+            bad |= self.clash.take(ids, 0).take(ids, 1)
+        return ids, bad
+
     def valid_pairs(self):
         """Every valid pair as two id arrays, in scan order: the label order
         ``combinations`` walks."""
-        ids = np.array(self.order(), dtype=np.intp)
-        far = self._bits([self.far[x] for x in ids])[:, ids]
-        clash = self._bits([self.clash[x] for x in ids])[:, ids]
-        keep = ~(far | far.T | clash)
-        first, second = np.nonzero(np.triu(keep, 1))
+        ids, bad = self._grid()
+        first, second = (~bad).nonzero()
         return ids[first], ids[second]
 
     def cheapest_pair(self, rng):
@@ -300,18 +364,25 @@ class _Engine:
         Reproduces the sequential scan: the first pair sets the running
         minimum, a cheaper pair replaces the candidate without a draw, and
         every pair equal to the running minimum draws once and replaces
-        the candidate when the draw is below 0.5.
+        the candidate when the draw is below 0.5. The last record is the
+        first pair at the overall minimum, so only the pairs before it
+        need a running minimum, to count their draws. Invalid cells are
+        NaN, which ``fmin`` skips and no comparison matches.
         """
-        first, second = self.valid_pairs()
-        if not len(first):
+        ids, bad = self._grid()
+        costs = np.where(bad, np.nan, self.prices().take(ids, 0).take(ids, 1)).ravel()
+        low = np.fmin.reduce(costs)
+        if low != low:  # NaN: no valid pair
             return None
-        costs = self.prices()[first, second]
-        before = np.concatenate(([costs[0] + 1], np.minimum.accumulate(costs)[:-1]))
-        last = best = int(np.flatnonzero(costs < before)[-1])
-        for i in np.flatnonzero(costs == before).tolist():
-            if rng.random() < 0.5 and i > last:
-                best = i
-        return int(first[best]), int(second[best])
+        last = best = int((costs == low).argmax())
+        head = costs[:last]
+        for _ in range(np.count_nonzero(head[1:] == np.fmin.accumulate(head)[:-1])):
+            rng.random()
+        for i in (costs[last + 1 :] == low).nonzero()[0].tolist():
+            if rng.random() < 0.5:
+                best = last + 1 + i
+        first, second = divmod(best, len(ids))
+        return int(ids[first]), int(ids[second])
 
     def stuck(self, k):
         return StuckError(f"no valid pair left at {len(self.alive)} clusters (target k={k})")

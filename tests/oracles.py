@@ -227,18 +227,30 @@ def moral_d_separated(edges, x, y, z):
     return True
 
 
-def grounded_rule_holds(edges, rule, x, y, z, w):
-    """Pearl's do-calculus rule over base-variable sets in one DAG: y ⊥ z |
-    x ∪ w once edges into x (and, for R2, out of z; for R3, into the z
-    nodes that are not ancestors of w in the x-barred graph) are removed
-    (Pearl 2009, §3.4)."""
-    kept = [(u, v) for u, v in edges if v not in x]
-    if rule == "R2":
-        kept = [(u, v) for u, v in kept if u not in z]
-    if rule == "R3":
-        barred = z - _ancestral(kept, w)
-        kept = [(u, v) for u, v in kept if v not in barred]
-    return moral_d_separated(kept, y, z, x | w)
+def grounded_rule(rule, x, y, z, w):
+    """Pearl's do-calculus rule over base-variable sets, as a test of one
+    DAG's edges: y ⊥ z | x ∪ w once edges into x (and, for R2, out of z;
+    for R3, into the z nodes that are not ancestors of w in the x-barred
+    graph) are removed (Pearl 2009, §3.4).
+
+    What does not depend on the DAG is fixed once, here, and DAGs whose
+    x-barred (for R2, also z-underbarred) edge sets coincide share one
+    answer, since the rule reads nothing else of them."""
+    given = x | w
+    cut = z if rule == "R2" else frozenset()
+    answers = {}
+
+    def holds(edges):
+        kept = frozenset((u, v) for u, v in edges if v not in x and u not in cut)
+        if kept not in answers:
+            mutilated = kept
+            if rule == "R3":
+                barred = z - _ancestral(kept, w)
+                mutilated = [(u, v) for u, v in kept if v not in barred]
+            answers[kept] = moral_d_separated(mutilated, y, z, given)
+        return answers[kept]
+
+    return holds
 
 
 def summary_rule_applies(h, rule, q, zw_in_hbar=True):

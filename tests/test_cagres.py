@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,17 +9,20 @@ from hypothesis import strategies as st
 from causalsumm import (
     CagresConfig,
     Dag,
+    GenSpec,
     GraphError,
     SimilarityMatrix,
     StuckError,
     ValidationError,
     additional_edges,
     contract,
+    gen_random_dag,
     get_cost,
     is_compatible,
     is_valid_pair,
     random_summarize,
     summarize,
+    topological_order,
     trivial_summary,
 )
 from causalsumm.cagres import _Engine
@@ -308,3 +314,127 @@ class TestEngineMatchesTheRescan:
         assert _outcome(lambda: random_summarize(g, cfg.k, cfg.seed)) == _outcome(
             lambda: reference_random_summarize(g, cfg.k, cfg.seed)
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(greedy_cases())
+    def test_summarize_draws_as_many_coins_as_the_rescan(self, case):
+        g, cfg = case
+        made = []
+
+        class Recorded(random.Random):
+            def __init__(self, seed):
+                super().__init__(seed)
+                made.append(self)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(random, "Random", Recorded)
+            _outcome(lambda: summarize(g, cfg))
+            _outcome(lambda: reference_summarize(g, cfg))
+        engine, rescan = made
+        assert engine.getstate() == rescan.getstate()
+
+
+def block_similarity(g, groups=8, threshold=0.5):
+    """Similarity 1 within contiguous blocks of ``topological_order(g)``, 0.3 across."""
+    order = topological_order(g)
+    group = {v: i * groups // len(order) for i, v in enumerate(order)}
+    codes = np.array([group[v] for v in g.nodes])
+    values = np.where(codes[:, None] == codes[None, :], 1.0, 0.3)
+    return SimilarityMatrix(g.nodes, values, threshold)
+
+
+def noisy_similarity(g, seed, threshold=0.1):
+    """Uniform random similarity: each cluster blocks its own few partners."""
+    n = g.num_nodes
+    values = np.random.default_rng(seed).random((n, n))
+    values = (values + values.T) / 2
+    np.fill_diagonal(values, 1.0)
+    return SimilarityMatrix(g.nodes, values, threshold)
+
+
+def partition_digest(h):
+    clusters = sorted(sorted(members) for members in h.clusters.values())
+    return hashlib.sha256(repr(clusters).encode()).hexdigest()[:16]
+
+
+def _workload_graph(n, degree, seed, relabel=False):
+    g = gen_random_dag(GenSpec(n, degree / n, seed))
+    if not relabel:
+        return g
+    # "1", "11", "111", ...: the merged label of two or more singletons
+    # is usually another node's label, so clusters take "#n" suffixes
+    name = {v: "1" * (i + 1) for i, v in enumerate(g.nodes)}
+    return Dag([name[v] for v in g.nodes], [(name[u], name[v]) for u, v in g.edges])
+
+
+# recorded with the engine that unpacked its bitsets into a fresh boolean
+# matrix every iteration and priced with integer matrix products; a drift
+# in the scan, the pricing, the relabelling or the coin changes a digest
+SCALE_PINS = {
+    ("greedy", 60, 2): "4abc4a20f21d42fd",
+    ("greedy", 60, 4): "bbdeda1e30de4271",
+    ("greedy", 150, 2): "13901e29ecf0575d",
+    ("greedy", 150, 4): "407442a62672aa9f",
+    ("colliding", 150, 2): "ba2a06a080ca7f2d",
+    ("similarity", 150, 4): "53d53ac83cf89584",
+    ("noisy", 150, 2): "40b40dfbd8c961f4",
+    ("random", 150, 2): "572dcfa43a708375",
+    ("random", 150, 4): "5c8356a95fa9e6d2",
+}
+
+
+class TestWorkloadScale:
+    """The benchmark's instance sizes, where pricing spans several 32-row
+    chunks, similarity clash sets are merged and labels take the slow
+    relabelling path."""
+
+    @pytest.mark.parametrize("kind, n, degree", list(SCALE_PINS))
+    def test_partitions_are_pinned(self, kind, n, degree):
+        g = _workload_graph(n, degree, seed=n + degree, relabel=kind == "colliding")
+        if kind == "random":
+            h = random_summarize(g, n // 5, seed=degree)
+        else:
+            similarity = {
+                "similarity": block_similarity(g),
+                "noisy": noisy_similarity(g, seed=n),
+            }.get(kind)
+            h = summarize(g, CagresConfig(k=n // 5, seed=degree, similarity=similarity))
+        assert partition_digest(h) == SCALE_PINS[kind, n, degree]
+
+
+# merges, rows handed to _Engine._price and coin draws of summarize on
+# three n=300 graphs (density 2/n, k=60), as recorded with the engine that
+# unpacked its bitsets every iteration; the contract fails at +25%
+COUNT_PINS = {
+    1: {"merges": 240, "rows priced": 1011, "coin draws": 21687},
+    2: {"merges": 240, "rows priced": 1026, "coin draws": 12505},
+    3: {"merges": 240, "rows priced": 1208, "coin draws": 26083},
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_engine_work_is_counted(seed):
+    g = _workload_graph(300, 2, seed)
+    counts = {"merges": 0, "rows priced": 0, "coin draws": 0}
+    merge, price = _Engine.merge, _Engine._price
+
+    def counted_merge(engine, a, b):
+        counts["merges"] += 1
+        return merge(engine, a, b)
+
+    def counted_price(engine, rows):
+        counts["rows priced"] += len(rows)
+        return price(engine, rows)
+
+    class Counted(random.Random):
+        def random(self):
+            counts["coin draws"] += 1
+            return super().random()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Engine, "merge", counted_merge)
+        mp.setattr(_Engine, "_price", counted_price)
+        mp.setattr(random, "Random", Counted)
+        summarize(g, CagresConfig(k=60, seed=seed))
+    for name, pinned in COUNT_PINS[seed].items():
+        assert counts[name] <= 1.25 * pinned, name
