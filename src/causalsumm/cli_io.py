@@ -3,15 +3,23 @@
 Graphs and summaries travel as small versioned JSON documents; a DOT
 subset (``digraph { "A"; "A" -> "B"; }``) is supported for interop with
 graph viewers. The ``causalsumm`` entry point wires every library
-operation to a subcommand. All text I/O is UTF-8 with LF line endings,
-and identical invocations produce byte-identical files.
+operation to a subcommand. All text I/O is UTF-8 with LF line endings
+on every OS, and identical invocations produce byte-identical files.
+
+Every file the package writes goes through ``_output``, the one writer:
+an existing output is rewritten in place and cut to the new length, never
+truncated to zero first. The write is not atomic and is not synced to
+disk.
 """
 
 import argparse
+import contextlib
 import functools
 import io
 import json
+import os
 import re
+import stat
 import sys
 from itertools import chain
 from pathlib import Path
@@ -60,9 +68,35 @@ def _read_text(path):
         raise ParseError(f"not UTF-8 text: {exc.reason}") from None
 
 
-def _write_text(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+@contextlib.contextmanager
+def _output(path):
+    """Open ``path`` for writing UTF-8 text with LF line endings.
+
+    This is the only place the package opens a file for writing. The file
+    is opened without truncating it, so an existing one is written over in
+    place, and on exit, an exception included, a regular file is cut at
+    the end of what was written. It then holds the bytes ``open(path,
+    "w")`` would have left: the new text, or a prefix of it, and never a
+    tail of the old file. Truncating to zero first makes ext4 (mounted
+    with ``auto_da_alloc``) start writeback on close, which costs far more
+    than writing a small file. Outputs that are not regular files, such
+    as ``/dev/null`` or a FIFO, are written but not truncated.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        fh = io.open(fd, "w", encoding="utf-8", newline="\n")
+    except BaseException:
+        os.close(fd)
+        raise
+    with fh:
+        try:
+            yield fh
+        finally:
+            try:
+                fh.flush()
+            finally:
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def _load_json(path):
@@ -112,14 +146,6 @@ def _dag_from_doc(doc):
     nodes = doc.get("nodes")
     _require(isinstance(nodes, list), "graph document needs a 'nodes' list")
     return Dag(nodes, _edge_pairs(doc.get("edges", []), "graph document"))
-
-
-def _dag_to_doc(g):
-    return {
-        "version": FORMAT_VERSION,
-        "nodes": list(g.nodes),
-        "edges": [list(e) for e in sorted(g.edges)],
-    }
 
 
 # --- the DOT subset -------------------------------------------------------
@@ -222,8 +248,12 @@ def load_dag(path):
 
 def save_dag(g, path):
     """Write a DAG to ``path`` (.json or .dot); load_dag inverts it."""
-    rows = ((u, sorted(g.children(u))) for u in sorted(g.nodes))
-    _write_graph(path, g.nodes, rows)
+    _write_graph(path, g.nodes, _edge_rows(g))
+
+
+def _edge_rows(g):
+    """``(tail, sorted heads)`` for every tail in sorted order."""
+    return ((u, sorted(g.children(u))) for u in sorted(g.nodes))
 
 
 def _write_graph(path, nodes, rows):
@@ -236,18 +266,10 @@ def _write_graph(path, nodes, rows):
     """
     is_json = _format_of(path) == "json"
     quoted = {v: (json.dumps if is_json else _dot_quote)(v) for v in nodes}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _output(path) as fh:
         if is_json:
-            fh.write(f'{{\n  "version": {FORMAT_VERSION},\n  "nodes": ')
-            fh.write("[\n    " + ",\n    ".join(quoted.values()) + "\n  ]" if quoted else "[]")
-            fh.write(',\n  "edges": [')
-            sep = ""
-            for u, heads in rows:
-                if heads:
-                    tail = f"\n    [\n      {quoted[u]},\n      "
-                    fh.write(sep + tail + f"\n    ],{tail}".join(map(quoted.get, heads)))
-                    sep = "\n    ],"
-            fh.write("\n    ]\n  ]\n}\n" if sep else "]\n}\n")
+            _json_graph(fh, quoted, rows, "")
+            fh.write("\n")
         else:
             fh.write("digraph {\n")
             fh.writelines(f"  {q};\n" for q in quoted.values())
@@ -256,6 +278,37 @@ def _write_graph(path, nodes, rows):
                     tail = f"  {quoted[u]} -> "
                     fh.write(tail + f";\n{tail}".join(map(quoted.get, heads)) + ";\n")
             fh.write("}\n")
+
+
+# The pieces of ``json.dumps(doc, indent=2)``'s layout, for a value whose
+# opening bracket sits at indentation ``pad``; items are encoded JSON text.
+
+
+def _json_items(items, pad, brackets="[]"):
+    inner = "\n  " + pad
+    if not items:
+        return brackets
+    return brackets[0] + inner + f",{inner}".join(items) + "\n" + pad + brackets[1]
+
+
+def _json_graph(fh, quoted, rows, pad):
+    """A graph document: its nodes, then its edge rows as ``[tail, head]``."""
+    fh.write(f'{{\n{pad}  "version": {FORMAT_VERSION},\n{pad}  "nodes": ')
+    fh.write(_json_items(quoted.values(), pad + "  "))
+    fh.write(f',\n{pad}  "edges": ')
+    _json_edges(fh, quoted, rows, pad + "  ")
+    fh.write(f"\n{pad}}}")
+
+
+def _json_edges(fh, quoted, rows, pad):
+    fh.write("[")
+    sep = ""
+    for u, heads in rows:
+        if heads:
+            tail = f"\n{pad}  [\n{pad}    {quoted[u]},\n{pad}    "
+            fh.write(sep + tail + f"\n{pad}  ],{tail}".join(map(quoted.get, heads)))
+            sep = f"\n{pad}  ],"
+    fh.write(f"\n{pad}  ]\n{pad}]" if sep else "]")
 
 
 def load_summary(path):
@@ -303,42 +356,50 @@ def _cluster_mapping(clusters):
     return mapping
 
 
-def summary_to_doc(h):
-    position = {v: i for i, v in enumerate(h.base_order)}
-    doc = {
-        "version": FORMAT_VERSION,
-        "base": _dag_to_doc(h.base),
-        "base_order": list(h.base_order),
-        "clusters": {
-            label: sorted(h.members(label), key=position.get)
-            for label in h.quotient.nodes
-        },
-        "edges": [list(e) for e in sorted(h.quotient.edges)],
-    }
-    if h.mutilated:
-        doc["mutilated"] = True
-    return doc
+def _members_in_order(h):
+    """Cluster label -> its members in base order, in quotient node order."""
+    members = {label: [] for label in h.quotient.nodes}
+    for v in h.base_order:
+        members[h.mapping[v]].append(v)
+    return members
 
 
 def save_summary(h, path):
-    """Write a summary to ``path``: JSON (lossless) or DOT (render-only)."""
-    if _format_of(path) == "json":
-        _write_text(path, json.dumps(summary_to_doc(h), indent=2) + "\n")
-    else:
+    """Write a summary to ``path``: JSON (lossless) or DOT (render-only).
+
+    The JSON layout is ``json.dumps(doc, indent=2)``'s for the document
+    ``{"version", "base", "base_order", "clusters", "edges"}``, plus
+    ``"mutilated": true`` for a mutilated summary, streamed like a graph.
+    """
+    if _format_of(path) != "json":
         export_summary_dot(h, path)
+        return
+    quoted = {v: json.dumps(v) for v in h.base.nodes}
+    labels = {label: json.dumps(label) for label in h.quotient.nodes}
+    clusters = [
+        f"{labels[label]}: " + _json_items([quoted[v] for v in members], "    ")
+        for label, members in _members_in_order(h).items()
+    ]
+    with _output(path) as fh:
+        fh.write(f'{{\n  "version": {FORMAT_VERSION},\n  "base": ')
+        _json_graph(fh, quoted, _edge_rows(h.base), "  ")
+        fh.write(',\n  "base_order": ' + _json_items([quoted[v] for v in h.base_order], "  "))
+        fh.write(',\n  "clusters": ' + _json_items(clusters, "  ", "{}"))
+        fh.write(',\n  "edges": ')
+        _json_edges(fh, labels, _edge_rows(h.quotient), "  ")
+        fh.write(',\n  "mutilated": true\n}\n' if h.mutilated else "\n}\n")
 
 
 def export_summary_dot(h, path):
     """Render a summary as DOT: one node per cluster, labeled by members."""
-    position = {v: i for i, v in enumerate(h.base_order)}
     lines = ["digraph {"]
-    for label in h.quotient.nodes:
-        members = ",".join(sorted(h.members(label), key=position.get))
-        lines.append(f"  {_dot_quote(label)} [label={_dot_quote(members)}];")
+    for label, members in _members_in_order(h).items():
+        lines.append(f"  {_dot_quote(label)} [label={_dot_quote(','.join(members))}];")
     for u, v in sorted(h.quotient.edges):
         lines.append(f"  {_dot_quote(u)} -> {_dot_quote(v)};")
     lines.append("}")
-    _write_text(path, "\n".join(lines) + "\n")
+    with _output(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_similarity(path, threshold):

@@ -729,3 +729,41 @@ def reference_gen_random_dag(spec):
             if rng.random() < spec.density:
                 edges.append((order[i], order[j]))
     return Dag(labels, edges)
+
+
+def dag_to_doc(g):
+    """The graph document ``save_dag`` writes, as a dict."""
+    from causalsumm.cli_io import FORMAT_VERSION
+
+    return {
+        "version": FORMAT_VERSION,
+        "nodes": list(g.nodes),
+        "edges": [list(e) for e in sorted(g.edges)],
+    }
+
+
+def summary_to_doc(h):
+    """The summary document ``save_summary`` writes, as a dict."""
+    from causalsumm.cli_io import FORMAT_VERSION
+
+    position = {v: i for i, v in enumerate(h.base_order)}
+    doc = {
+        "version": FORMAT_VERSION,
+        "base": dag_to_doc(h.base),
+        "base_order": list(h.base_order),
+        "clusters": {
+            label: sorted(h.members(label), key=position.get)
+            for label in h.quotient.nodes
+        },
+        "edges": [list(e) for e in sorted(h.quotient.edges)],
+    }
+    if h.mutilated:
+        doc["mutilated"] = True
+    return doc
+
+
+def reference_summary_json(h):
+    """The text of ``save_summary(h, "….json")``, laid out by ``json.dumps``."""
+    import json
+
+    return json.dumps(summary_to_doc(h), indent=2) + "\n"

@@ -271,11 +271,15 @@ def test_criterion_10_determinism(criterion, fixtures_dir, tmp_path, capsys):
     red = str(fixtures_dir / "redshift.json")
 
     def twice(args, out_arg=False):
+        # the second run writes over the first run's path, after it has been
+        # filled with a longer file: a rewrite must leave no old tail
         outputs = []
+        path = tmp_path / f"{abs(hash(tuple(args)))}.json"
         for run in ("x", "y"):
             argv = list(args)
             if out_arg:
-                path = tmp_path / f"{run}{len(outputs)}{abs(hash(tuple(args)))}.json"
+                if outputs:
+                    path.write_bytes(outputs[0][1] * 2 + b"old tail\n")
                 argv += ["--out", str(path)]
             code = cli(argv)
             text = capsys.readouterr().out

@@ -46,13 +46,13 @@ def full_similarity(g, overrides=None, threshold=0.8):
 
 
 @st.composite
-def random_dags(draw, max_nodes=30):
-    """A random DAG with n <= max_nodes, sparse or dense.
+def random_dags(draw, max_nodes=30, min_nodes=1):
+    """A random DAG with min_nodes <= n <= max_nodes, sparse or dense.
 
     Half the graphs use unpadded numeric labels ("1", "2", "12", ...), whose
     concatenations can collide with node labels.
     """
-    n = draw(st.integers(1, max_nodes))
+    n = draw(st.integers(min_nodes, max_nodes))
     numeric = draw(st.booleans())
     labels = [str(i + 1) if numeric else f"N{i:02d}" for i in range(n)]
     order = draw(st.permutations(labels))
@@ -291,6 +291,25 @@ def greedy_cases(draw):
     return g, cfg
 
 
+@st.composite
+def similarity_cases(draw):
+    """A random DAG with 4-12 nodes, a budget k and always a uniform random
+    similarity, at the two thresholds that block some merges but not most."""
+    g = draw(random_dags(max_nodes=12, min_nodes=4))
+    n = g.num_nodes
+    rng = draw(st.randoms(use_true_random=False))
+    values = np.array([[rng.random() for _ in range(n)] for _ in range(n)])
+    values = (values + values.T) / 2
+    np.fill_diagonal(values, 1.0)
+    threshold = draw(st.sampled_from([0.3, 0.5]))
+    cfg = CagresConfig(
+        k=draw(st.integers(1, n)),
+        seed=draw(st.integers(0, 10_000)),
+        similarity=SimilarityMatrix(list(g.nodes), values, threshold),
+    )
+    return g, cfg
+
+
 def _outcome(run):
     try:
         return run()
@@ -302,6 +321,15 @@ class TestEngineMatchesTheRescan:
     @settings(max_examples=60, deadline=None)
     @given(greedy_cases())
     def test_summarize_matches_the_reference_rescan(self, case):
+        g, cfg = case
+        assert _outcome(lambda: summarize(g, cfg)) == _outcome(
+            lambda: reference_summarize(g, cfg)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(similarity_cases())
+    def test_summarize_matches_the_reference_rescan_under_a_similarity(self, case):
+        # every merge must carry the merged cluster's clash row and column
         g, cfg = case
         assert _outcome(lambda: summarize(g, cfg)) == _outcome(
             lambda: reference_summarize(g, cfg)

@@ -3,8 +3,10 @@ import copy
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -28,7 +30,13 @@ from causalsumm import (
 from causalsumm.cli_io import ParseError, cli, export_summary_dot, load_similarity
 from causalsumm.fixtures import redshift_missing_edge
 from conftest import TRICKY_LABELS, tricky_dags
-from oracles import partition_summary, reference_canonical
+from oracles import (
+    dag_to_doc,
+    partition_summary,
+    reference_canonical,
+    reference_summary_json,
+    summary_to_doc,
+)
 from test_summary import _random_mutilation, _random_summary
 
 
@@ -79,8 +87,6 @@ class TestDagFiles:
         path.write_text(f'{{"version": {version}, "nodes": ["A"], "edges": []}}')
         with pytest.raises(ParseError, match="version"):
             load_dag(path)
-        from causalsumm.cli_io import summary_to_doc
-
         doc = summary_to_doc(h1)
         doc["version"] = json.loads(version)
         path.write_text(json.dumps(doc))
@@ -181,8 +187,6 @@ class TestSummaryFiles:
         ],
     )
     def test_bad_cluster_is_named(self, h1, tmp_path, members, message):
-        from causalsumm.cli_io import summary_to_doc
-
         doc = summary_to_doc(h1)
         doc["clusters"]["A"] = members
         path = tmp_path / "h.json"
@@ -191,8 +195,6 @@ class TestSummaryFiles:
             load_summary(path)
 
     def test_overlapping_clusters_are_rejected(self, h1, tmp_path):
-        from causalsumm.cli_io import summary_to_doc
-
         doc = summary_to_doc(h1)
         doc["clusters"]["D"] = ["D", "B"]
         path = tmp_path / "h.json"
@@ -235,6 +237,187 @@ class TestCanonicalExport:
         h = partition_summary(g, ("A", "B", "AB", 'a"b'), [["A", "B"], ["AB"], ['a"b']])
         assert h.quotient.nodes == ("AB#2", "AB", 'a"b')
         self.assert_export_matches(h, tmp_path)
+
+
+class TestSummaryJsonBytes:
+    """``save_summary`` streams its JSON: the bytes must be those of
+    ``json.dumps(doc, indent=2)`` of the summary document."""
+
+    def assert_bytes_match(self, h, path):
+        save_summary(h, path)
+        assert path.read_bytes() == reference_summary_json(h).encode()
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=tricky_dags(), rng=st.randoms(use_true_random=False), cut=st.booleans())
+    def test_bytes_equal_json_dumps(self, tmp_path_factory, g, rng, cut):
+        h = _random_summary(g, rng)
+        if cut:
+            h = _random_mutilation(h, rng)
+        self.assert_bytes_match(h, tmp_path_factory.mktemp("summary") / "h.json")
+
+    def test_suffixed_labels(self, tmp_path):
+        g = Dag(["A", "B", "AB", 'a"b'], [("A", "AB"), ("B", "AB"), ("AB", 'a"b')])
+        h = partition_summary(g, ("A", "B", "AB", 'a"b'), [["A", "B"], ["AB"], ['a"b']])
+        assert h.quotient.nodes == ("AB#2", "AB", 'a"b')
+        self.assert_bytes_match(h, tmp_path / "h.json")
+        self.assert_bytes_match(mutilate_summary(h, {"AB"}, set()), tmp_path / "h.json")
+
+    def test_edgeless_and_single_cluster(self, tmp_path):
+        g = Dag(TRICKY_LABELS)
+        self.assert_bytes_match(trivial_summary(g), tmp_path / "h.json")
+        self.assert_bytes_match(partition_summary(g, g.nodes, [g.nodes]), tmp_path / "h.json")
+
+
+#: every command that writes an ``--out`` file, its inputs named in fixtures/
+WRITING_COMMANDS = [
+    ["gen", "--n", "9", "--density", "0.4", "--seed", "2"],
+    ["summarize", "--in", "g1.json", "--k", "3", "--seed", "1"],
+    ["bruteforce", "--in", "g1.json", "--k", "3"],
+    ["perturb", "--in", "redshift.json", "--add", "2", "--remove", "1", "--seed", "5"],
+    ["canonical", "--in", "h1.json"],
+]
+
+
+def _in_fixtures(fixtures_dir, argv):
+    return [str(fixtures_dir / a) if a.endswith(".json") else a for a in argv]
+
+
+def _write_output(kind, h, path):
+    """Write ``h`` as one of the package's outputs, by ``kind``."""
+    if kind == "save_dag":
+        save_dag(h.base, path)
+    elif kind == "save_summary":
+        save_summary(h, path)
+    else:
+        src = path.parent / "canonical-in" / "h.json"
+        src.parent.mkdir(exist_ok=True)
+        save_summary(h, src)
+        assert cli(["canonical", "--in", str(src), "--out", str(path)]) == 0
+
+
+class TestRewriteInPlace:
+    """An output is written over an existing file in place and cut to the
+    new length: the file ends up as ``open(path, "w")`` would leave it."""
+
+    KINDS = ["save_dag", "save_summary", "canonical"]
+
+    @pytest.mark.parametrize("suffix", [".json", ".dot"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_short_over_long_is_a_fresh_write(self, tmp_path, h1, redshift, kind, suffix):
+        out, fresh = tmp_path / f"out{suffix}", tmp_path / f"fresh{suffix}"
+        _write_output(kind, trivial_summary(redshift), out)
+        longer = out.stat().st_size
+        inode = out.stat().st_ino
+        _write_output(kind, h1, out)
+        _write_output(kind, h1, fresh)
+        assert out.read_bytes() == fresh.read_bytes()
+        assert out.stat().st_size < longer and out.stat().st_ino == inode
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_an_existing_file_keeps_its_mode(self, tmp_path, h1, kind):
+        out = tmp_path / "out.json"
+        out.write_text("x" * 5000)
+        out.chmod(0o640)
+        _write_output(kind, h1, out)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert b"x" not in out.read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "symlink") or os.name == "nt", reason="needs symlinks")
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_symlink_is_followed_and_kept(self, tmp_path, h1, kind):
+        target, link, fresh = tmp_path / "target.json", tmp_path / "link.json", tmp_path / "f.json"
+        target.write_text("x" * 5000)
+        link.symlink_to(target)
+        _write_output(kind, h1, link)
+        _write_output(kind, h1, fresh)
+        assert link.is_symlink() and target.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "symlink") or os.name == "nt", reason="needs symlinks")
+    def test_out_may_point_at_devnull(self, fixtures_dir, tmp_path, capsys):
+        # /dev/null is written but, not being a regular file, never truncated
+        for suffix in (".json", ".dot"):
+            null = tmp_path / f"null{suffix}"
+            null.symlink_to(os.devnull)
+            for argv in WRITING_COMMANDS:
+                assert cli(_in_fixtures(fixtures_dir, argv) + ["--out", str(null)]) == 0, argv[0]
+            assert capsys.readouterr().err == ""
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_a_fifo_is_written_and_not_truncated(self, tmp_path, g1):
+        fifo, fresh = tmp_path / "pipe.json", tmp_path / "fresh.json"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            save_dag(g1, fifo)
+        finally:
+            reader.join(timeout=30)
+        assert not reader.is_alive()
+        save_dag(g1, fresh)
+        assert received == [fresh.read_bytes()]
+
+    @pytest.mark.parametrize("suffix", [".json", ".dot"])
+    def test_a_failed_write_leaves_no_old_tail(self, tmp_path, suffix):
+        from causalsumm.cli_io import _write_graph
+
+        def rows():  # the first row, then a failure mid-file
+            yield "A", ["B"]
+            raise RuntimeError("stop")
+
+        out, fresh, whole = (tmp_path / f"{name}{suffix}" for name in ("out", "fresh", "whole"))
+        out.write_text("x" * 5000)
+        for path in (out, fresh):
+            with pytest.raises(RuntimeError, match="stop"):
+                _write_graph(path, ["A", "B"], rows())
+        assert out.read_bytes() == fresh.read_bytes()
+        _write_graph(whole, ["A", "B"], [("A", ["B"])])
+        assert whole.read_bytes().startswith(out.read_bytes()) and b"x" not in out.read_bytes()
+
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unwritable_out_errors_as_open_does(self, fixtures_dir, tmp_path, capsys, where):
+        for suffix in (".json", ".dot"):
+            if where == "directory":
+                out = tmp_path / f"dir{suffix}"
+                out.mkdir()
+            else:
+                out = tmp_path / "missing" / f"h{suffix}"
+            # the error open(path, "w") raises, as the CLI printed it before
+            with pytest.raises(OSError) as opened:
+                open(out, "w")
+            for argv in WRITING_COMMANDS:
+                assert cli(_in_fixtures(fixtures_dir, argv) + ["--out", str(out)]) == 1, argv[0]
+                assert capsys.readouterr().err == f"error: {opened.value}\n", argv[0]
+
+
+@pytest.mark.parametrize("suffix", [".json", ".dot"])
+@pytest.mark.parametrize("argv", WRITING_COMMANDS, ids=lambda argv: argv[0])
+def test_each_command_opens_its_output_once_without_truncating(
+    fixtures_dir, tmp_path, monkeypatch, argv, suffix
+):
+    # counted, not timed: one open per output, never with O_TRUNC, on the
+    # first write and on the rewrite of the same path
+    from causalsumm import cli_io
+
+    opened = []
+    real_open = cli_io.os.open
+
+    def recording_open(path, flags, *args, **kwargs):
+        if flags & (os.O_WRONLY | os.O_RDWR):
+            opened.append((os.fspath(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(cli_io.os, "open", recording_open)
+    out = tmp_path / f"out{suffix}"
+    argv = _in_fixtures(fixtures_dir, argv)
+    written = []
+    for _ in range(2):
+        opened.clear()
+        assert cli(argv + ["--out", str(out)]) == 0
+        assert [path for path, _ in opened] == [str(out)]
+        assert not opened[0][1] & os.O_TRUNC
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 class TestSimilarityCsv:
@@ -411,8 +594,6 @@ class TestCliErrors:
         ],
     )
     def test_malformed_summary_exits_1(self, h1, tmp_path, capsys, field, value):
-        from causalsumm.cli_io import summary_to_doc
-
         doc = summary_to_doc(h1)
         doc[field] = value
         path = tmp_path / "h.json"
@@ -594,7 +775,6 @@ def damaged(draw, doc):
 
 def _summary_doc():
     from causalsumm import fixtures
-    from causalsumm.cli_io import summary_to_doc
 
     return summary_to_doc(fixtures.h1())
 
@@ -764,14 +944,12 @@ def mangled(draw, doc):
 def graph_and_summary_docs(draw):
     """The graph and summary documents of a random (possibly mutilated)
     summary over tricky labels."""
-    from causalsumm.cli_io import _dag_to_doc, summary_to_doc
-
     g = draw(tricky_dags(max_nodes=6))
     rng = draw(st.randoms(use_true_random=False))
     h = _random_summary(g, rng)
     if rng.random() < 0.3:
         h = _random_mutilation(h, rng)
-    return _dag_to_doc(g), summary_to_doc(h)
+    return dag_to_doc(g), summary_to_doc(h)
 
 
 def _outcome(load, doc):
