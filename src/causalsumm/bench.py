@@ -123,6 +123,7 @@ def brute_force_summarize(g, k):
 
     order = topological_order(g)
     n = len(order)
+    base_edges = g.num_edges
     index = {v: i for i, v in enumerate(order)}
     parents = [[index[u] for u in g.parents(v)] for v in order]
     block = [0] * n
@@ -146,7 +147,7 @@ def brute_force_summarize(g, k):
             blocks = [[] for _ in range(nblocks)]
             for v, b in zip(order, block):
                 blocks[b].append(v)
-            score = count - g.num_edges
+            score = count - base_edges
             signature = tuple(tuple(vs) for vs in blocks)
             if best is None or (score, signature) < best[:2]:
                 best = (score, signature, block[:])
@@ -164,7 +165,7 @@ def brute_force_summarize(g, k):
             # b's clique gains size[b] edges, each edge at b gains the
             # neighbour's size, and each new edge x -> b |x|(|b| + 1)
             bound = count + size[b] + weight(into[b] | out[b]) + weight(new) * (size[b] + 1)
-            if best is not None and bound - g.num_edges > best[0]:
+            if best is not None and bound - base_edges > best[0]:
                 continue
             saved = reach[:], out[:], into[b]
             block[i] = b

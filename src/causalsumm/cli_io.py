@@ -22,7 +22,6 @@ import re
 import stat
 import sys
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
@@ -53,7 +52,15 @@ class ParseError(GraphError):
 
 
 def _format_of(path):
-    suffix = Path(path).suffix.lower()
+    # Path(path).suffix, without building a Path: the last component that is
+    # neither empty nor ".", from its last dot, unless that dot starts or
+    # ends it (so a dot-file such as ".json" has no suffix)
+    text = os.path.splitdrive(os.fspath(path))[1]
+    if os.altsep:
+        text = text.replace(os.altsep, os.sep)
+    name = next((part for part in reversed(text.split(os.sep)) if part not in ("", ".")), "")
+    dot = name.rfind(".")
+    suffix = name[dot:].lower() if 0 < dot < len(name) - 1 else ""
     if suffix == ".json":
         return "json"
     if suffix == ".dot":
@@ -63,7 +70,8 @@ def _format_of(path):
 
 def _read_text(path):
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(os.fspath(path), encoding="utf-8") as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: {exc.reason}") from None
 
@@ -248,35 +256,38 @@ def load_dag(path):
 
 def save_dag(g, path):
     """Write a DAG to ``path`` (.json or .dot); load_dag inverts it."""
-    _write_graph(path, g.nodes, _edge_rows(g))
+    _write_graph(path, g.nodes, functools.partial(_edge_rows, g))
 
 
-def _edge_rows(g):
-    """``(tail, sorted heads)`` for every tail in sorted order."""
-    return ((u, sorted(g.children(u))) for u in sorted(g.nodes))
+def _edge_rows(g, name):
+    """``(tail, heads)`` as ``name``'s text, tails and heads in label order."""
+    return ((name(u), list(map(name, sorted(g.children(u))))) for u in sorted(g.nodes))
 
 
 def _write_graph(path, nodes, rows):
     """Write a graph as ``save_dag`` lays it out, one edge row at a time.
 
-    ``rows`` yields ``(tail, heads)`` with tails and heads sorted, so the
-    edges come out in ``sorted(edges)`` order. The JSON layout is the one
-    ``json.dumps(doc, indent=2)`` gives, with each label encoded once by
-    ``json.dumps``; the DOT layout declares every node, then every edge.
+    ``rows(name)`` yields ``(tail, heads)`` already as text, each label
+    given as ``name(label)``, with tails and heads in label order, so the
+    edges come out in ``sorted(edges)`` order. ``name`` encodes each label
+    once: by ``json.dumps`` for JSON, whose layout is the one
+    ``json.dumps(doc, indent=2)`` gives, and as a quoted DOT identifier for
+    DOT, whose layout declares every node, then every edge.
     """
     is_json = _format_of(path) == "json"
     quoted = {v: (json.dumps if is_json else _dot_quote)(v) for v in nodes}
+    rows = rows(quoted.__getitem__)
     with _output(path) as fh:
         if is_json:
-            _json_graph(fh, quoted, rows, "")
+            _json_graph(fh, quoted.values(), rows, "")
             fh.write("\n")
         else:
             fh.write("digraph {\n")
             fh.writelines(f"  {q};\n" for q in quoted.values())
             for u, heads in rows:
                 if heads:
-                    tail = f"  {quoted[u]} -> "
-                    fh.write(tail + f";\n{tail}".join(map(quoted.get, heads)) + ";\n")
+                    tail = f"  {u} -> "
+                    fh.write(tail + f";\n{tail}".join(heads) + ";\n")
             fh.write("}\n")
 
 
@@ -291,22 +302,22 @@ def _json_items(items, pad, brackets="[]"):
     return brackets[0] + inner + f",{inner}".join(items) + "\n" + pad + brackets[1]
 
 
-def _json_graph(fh, quoted, rows, pad):
+def _json_graph(fh, nodes, rows, pad):
     """A graph document: its nodes, then its edge rows as ``[tail, head]``."""
     fh.write(f'{{\n{pad}  "version": {FORMAT_VERSION},\n{pad}  "nodes": ')
-    fh.write(_json_items(quoted.values(), pad + "  "))
+    fh.write(_json_items(nodes, pad + "  "))
     fh.write(f',\n{pad}  "edges": ')
-    _json_edges(fh, quoted, rows, pad + "  ")
+    _json_edges(fh, rows, pad + "  ")
     fh.write(f"\n{pad}}}")
 
 
-def _json_edges(fh, quoted, rows, pad):
+def _json_edges(fh, rows, pad):
     fh.write("[")
     sep = ""
     for u, heads in rows:
         if heads:
-            tail = f"\n{pad}  [\n{pad}    {quoted[u]},\n{pad}    "
-            fh.write(sep + tail + f"\n{pad}  ],{tail}".join(map(quoted.get, heads)))
+            tail = f"\n{pad}  [\n{pad}    {u},\n{pad}    "
+            fh.write(sep + tail + f"\n{pad}  ],{tail}".join(heads))
             sep = f"\n{pad}  ],"
     fh.write(f"\n{pad}  ]\n{pad}]" if sep else "]")
 
@@ -382,11 +393,11 @@ def save_summary(h, path):
     ]
     with _output(path) as fh:
         fh.write(f'{{\n  "version": {FORMAT_VERSION},\n  "base": ')
-        _json_graph(fh, quoted, _edge_rows(h.base), "  ")
+        _json_graph(fh, quoted.values(), _edge_rows(h.base, quoted.__getitem__), "  ")
         fh.write(',\n  "base_order": ' + _json_items([quoted[v] for v in h.base_order], "  "))
         fh.write(',\n  "clusters": ' + _json_items(clusters, "  ", "{}"))
         fh.write(',\n  "edges": ')
-        _json_edges(fh, labels, _edge_rows(h.quotient), "  ")
+        _json_edges(fh, _edge_rows(h.quotient, labels.__getitem__), "  ")
         fh.write(',\n  "mutilated": true\n}\n' if h.mutilated else "\n}\n")
 
 
@@ -471,7 +482,7 @@ def _cmd_summarize(args):
 
 def _cmd_canonical(args):
     h = load_summary(args.in_path)
-    _write_graph(args.out, h.base_order, canonical_rows(h))
+    _write_graph(args.out, h.base_order, functools.partial(canonical_rows, h))
     return 0
 
 

@@ -161,7 +161,7 @@ class Dag:
     ['B', 'D', 'E']
     """
 
-    __slots__ = ("_order", "_nodes", "_edges", "_parents", "_children")
+    __slots__ = ("_order", "_nodes", "_edges", "_parents", "_children", "_frozen")
 
     def __init__(self, nodes, edges=()):
         # Each check tests the whole input at once; only when one fails does
@@ -200,8 +200,17 @@ class Dag:
         self._nodes = node_set
         # frozensets copied from sets are sized to their contents
         self._edges = frozenset(edge_set)
-        self._parents = dict(zip(order, map(frozenset, parents.values())))
-        self._children = dict(zip(order, map(frozenset, children.values())))
+        # the construction sets, never changed again; parents() and
+        # children() hand out frozen copies, made on the first call
+        self._parents = parents
+        self._children = children
+        self._frozen = False
+
+    def _freeze(self):
+        parents = dict(zip(self._order, map(frozenset, self._parents.values())))
+        children = dict(zip(self._order, map(frozenset, self._children.values())))
+        self._parents, self._children = parents, children
+        self._frozen = True  # set last: a reader that sees it sees the frozensets
 
     # === structure ===
 
@@ -263,12 +272,16 @@ class Dag:
         """π(v): the set of tails of edges into ``v``."""
         if v not in self._nodes:
             raise UnknownNodeError(v)
+        if not self._frozen:
+            self._freeze()
         return self._parents[v]
 
     def children(self, v):
         """The set of heads of edges out of ``v``."""
         if v not in self._nodes:
             raise UnknownNodeError(v)
+        if not self._frozen:
+            self._freeze()
         return self._children[v]
 
     # === reachability ===

@@ -13,6 +13,7 @@ Everything here is a pure function over immutable values; summaries are
 never modified in place.
 """
 
+import bisect
 from dataclasses import dataclass, field
 
 from .graph_core import (
@@ -332,31 +333,43 @@ def canonical(h):
     >>> sorted(canonical(h1).edges)
     [('A', 'B'), ('A', 'C'), ('B', 'C'), ('B', 'D'), ('C', 'D'), ('D', 'E')]
     """
-    return Dag(h.base_order, ((u, v) for u, heads in canonical_rows(h) for v in heads))
+    return Dag(h.base_order, ((u, v) for u, heads in canonical_rows(h, str) for v in heads))
 
 
-def canonical_rows(h):
+def canonical_rows(h, name):
     """The edges of ``canonical(h)`` as ``(tail, heads)`` rows, without an edge set.
 
     One row per base node, in sorted order. A tail's heads, sorted, are its
     cluster-mates later in base order and the members of its cluster's
     quotient children; the two sets are disjoint. The rows therefore list
-    the edges in ``sorted(edges)`` order, each once.
+    the edges in ``sorted(edges)`` order, each once. Every label appears as
+    ``name(label)``, called once per node, so a writer gets its text
+    directly; the sorting is by label, whatever the text.
+
+    Each cluster sorts its children's members once. Walking its own members
+    from last to first in base order, a member's heads are a copy of the
+    sorted heads so far, and the member then joins them at its place.
 
     >>> g = Dag("ABCDE", [("A","B"), ("A","C"), ("B","D"), ("C","D"), ("D","E")])
-    >>> list(canonical_rows(contract(trivial_summary(g), "B", "C")))
-    [('A', ['B', 'C']), ('B', ['C', 'D']), ('C', ['D']), ('D', ['E']), ('E', [])]
+    >>> list(canonical_rows(contract(trivial_summary(g), "B", "C"), str.lower))
+    [('a', ['b', 'c']), ('b', ['c', 'd']), ('c', ['d']), ('d', ['e']), ('e', [])]
     """
+    labels = sorted(h.base_order)
+    text = list(map(name, labels))
+    rank = {v: i for i, v in enumerate(labels)}
     members = {c: [] for c in h.quotient.nodes}
     for v in h.base_order:
-        members[h.mapping[v]].append(v)
-    rank = {v: i for vs in members.values() for i, v in enumerate(vs)}
-    below = {
-        c: sorted(v for d in h.quotient.children(c) for v in members[d]) for c in members
-    }
-    for u in sorted(h.base_order):
-        c = h.mapping[u]
-        yield u, sorted(members[c][rank[u] + 1 :] + below[c])
+        members[h.mapping[v]].append(rank[v])
+    rows = [None] * len(labels)
+    for c, ranks in members.items():
+        keys = sorted([i for d in h.quotient.children(c) for i in members[d]])
+        heads = [text[i] for i in keys]
+        for i in reversed(ranks):
+            rows[i] = heads.copy()
+            at = bisect.bisect(keys, i)
+            keys.insert(at, i)
+            heads.insert(at, text[i])
+    return zip(text, rows)
 
 
 def canonical_edge_count(sizes, edges):

@@ -590,6 +590,7 @@ def reference_dag(nodes, edges=()):
     self._edges = frozenset(edge_set)
     self._parents = {v: frozenset(ps) for v, ps in parents.items()}
     self._children = {v: frozenset(cs) for v, cs in children.items()}
+    self._frozen = True
 
     indegree = {v: len(self._parents[v]) for v in self._order}
     queue = deque(v for v in self._order if indegree[v] == 0)
@@ -740,6 +741,19 @@ def dag_to_doc(g):
         "nodes": list(g.nodes),
         "edges": [list(e) for e in sorted(g.edges)],
     }
+
+
+def reference_dot(g):
+    """The text of ``save_dag(g, "….dot")``: every node in graph order, then
+    every edge in sorted order, each label in double quotes with its
+    backslashes and double quotes escaped by a backslash."""
+
+    def quote(label):
+        return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    lines = [f"  {quote(v)};" for v in g.nodes]
+    lines += [f"  {quote(u)} -> {quote(v)};" for u, v in sorted(g.edges)]
+    return "digraph {\n" + "".join(line + "\n" for line in lines) + "}\n"
 
 
 def summary_to_doc(h):

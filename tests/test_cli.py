@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 
 from causalsumm import (
     Dag,
+    GenSpec,
     GraphError,
     ValidationError,
     additional_edges,
     canonical,
+    gen_random_dag,
     load_dag,
     load_summary,
     mutilate_summary,
@@ -27,13 +29,20 @@ from causalsumm import (
     topological_order,
     trivial_summary,
 )
-from causalsumm.cli_io import ParseError, cli, export_summary_dot, load_similarity
+from causalsumm.cli_io import (
+    ParseError,
+    _format_of,
+    cli,
+    export_summary_dot,
+    load_similarity,
+)
 from causalsumm.fixtures import redshift_missing_edge
 from conftest import TRICKY_LABELS, tricky_dags
 from oracles import (
     dag_to_doc,
     partition_summary,
     reference_canonical,
+    reference_dot,
     reference_summary_json,
     summary_to_doc,
 )
@@ -74,6 +83,22 @@ class TestDagFiles:
     def test_unknown_extension(self, g1, tmp_path):
         with pytest.raises(ValidationError, match="extension"):
             save_dag(g1, tmp_path / "g.yaml")
+
+    @pytest.mark.parametrize(
+        "path",
+        ["g.json", "g.JSON", "g.dot", "d/g.Dot", "g.json/", "g.json/.", "g.json//", "d.json/g",
+         ".json", "d/.dot", "g.json.", "g..json", "...json", "g.yaml", "g", "", "/", ".", ".."],
+    )
+    def test_format_is_read_from_the_path_suffix(self, path):
+        # the rule of Path(path).suffix, for text and for Path arguments
+        suffix = Path(path).suffix.lower()
+        for given in (path, Path(path)):
+            if suffix in (".json", ".dot"):
+                assert _format_of(given) == suffix[1:]
+            else:
+                with pytest.raises(ValidationError) as raised:
+                    _format_of(given)
+                assert str(raised.value) == f"unsupported file extension: {given}"
 
     def test_version_is_checked(self, tmp_path):
         path = tmp_path / "g.json"
@@ -204,18 +229,19 @@ class TestSummaryFiles:
 
 
 class TestCanonicalExport:
-    """``canonical --out`` streams its rows: the bytes must be those of
-    ``save_dag`` of the definitional canonical DAG, and the grounded graph
-    is never built."""
+    """``canonical --out`` streams its rows: the bytes must be those of the
+    definitional canonical DAG laid out by ``json.dumps`` or by the DOT
+    reference, and the grounded graph is never built."""
 
     def assert_export_matches(self, h, folder):
         src = folder / "h.json"
         save_summary(h, src)
-        for suffix in (".json", ".dot"):
-            out, ref = folder / f"out{suffix}", folder / f"ref{suffix}"
+        ref = reference_canonical(h)
+        expected = {".json": json.dumps(dag_to_doc(ref), indent=2) + "\n", ".dot": reference_dot(ref)}
+        for suffix, text in expected.items():
+            out = folder / f"out{suffix}"
             assert cli(["canonical", "--in", str(src), "--out", str(out)]) == 0
-            save_dag(reference_canonical(h), ref)
-            assert out.read_bytes() == ref.read_bytes()
+            assert out.read_bytes() == text.encode()
 
     @settings(max_examples=80, deadline=None)
     @given(g=tricky_dags(), rng=st.randoms(use_true_random=False), cut=st.booleans())
@@ -237,6 +263,64 @@ class TestCanonicalExport:
         h = partition_summary(g, ("A", "B", "AB", 'a"b'), [["A", "B"], ["AB"], ['a"b']])
         assert h.quotient.nodes == ("AB#2", "AB", 'a"b')
         self.assert_export_matches(h, tmp_path)
+
+    @pytest.mark.parametrize("pair", [("A", "A!"), ('"', "#2"), ("é", "z")])
+    def test_quoted_order_is_not_label_order(self, tmp_path, pair):
+        # json.dumps or DOT quoting sorts these two labels the other way
+        # round, so rows must be ordered by label, never by their text
+        p, q = pair
+        g = Dag(["S", p, q, "T"], [("S", p), ("S", q), (p, "T"), (q, "T")])
+        order = topological_order(g)
+        for blocks in ([[v] for v in order], [order], [["S"], [p, q], ["T"]], [["S", p], [q, "T"]]):
+            h = partition_summary(g, order, blocks)
+            self.assert_export_matches(h, tmp_path)
+            self.assert_export_matches(mutilate_summary(h, {h.mapping[q]}, set()), tmp_path)
+
+
+class TestExportWorkIsCounted:
+    """Counted, not timed: the canonical rows sort once per cluster, and the
+    export encodes each label once, however many edges it writes."""
+
+    @pytest.fixture
+    def h(self):
+        g = gen_random_dag(GenSpec(120, 0.1, 3))
+        order = topological_order(g)
+        return partition_summary(g, order, [order[i : i + 20] for i in range(0, 120, 20)])
+
+    def test_rows_sort_once_per_cluster(self, h, monkeypatch):
+        from causalsumm import summary
+
+        edges = reference_canonical(h).num_edges
+        calls = []
+
+        def counting_sorted(*args, **kwargs):
+            calls.append(args)
+            return sorted(*args, **kwargs)
+
+        monkeypatch.setattr(summary, "sorted", counting_sorted, raising=False)
+        rows = list(summary.canonical_rows(h, str))
+        assert 0 < len(calls) <= len(h.quotient.nodes) + 1
+        assert [u for u, _ in rows] == sorted(h.base.nodes)
+        assert sum(map(len, (heads for _, heads in rows))) == edges
+
+    @pytest.mark.parametrize(
+        "suffix, encoder", [(".json", "json.dumps"), (".dot", "causalsumm.cli_io._dot_quote")]
+    )
+    def test_export_encodes_each_label_once(self, h, tmp_path, monkeypatch, suffix, encoder):
+        src = tmp_path / "h.json"
+        save_summary(h, src)
+        module, name = encoder.rsplit(".", 1)
+        encode = getattr(sys.modules[module], name)
+        calls = []
+
+        def counting_encode(label, *args, **kwargs):
+            calls.append(label)
+            return encode(label, *args, **kwargs)
+
+        monkeypatch.setattr(encoder, counting_encode)
+        out = tmp_path / f"c{suffix}"
+        assert cli(["canonical", "--in", str(src), "--out", str(out)]) == 0
+        assert sorted(calls) == sorted(h.base.nodes)
 
 
 class TestSummaryJsonBytes:
@@ -361,17 +445,17 @@ class TestRewriteInPlace:
     def test_a_failed_write_leaves_no_old_tail(self, tmp_path, suffix):
         from causalsumm.cli_io import _write_graph
 
-        def rows():  # the first row, then a failure mid-file
-            yield "A", ["B"]
+        def rows(name):  # the first row, then a failure mid-file
+            yield name("A"), [name("B")]
             raise RuntimeError("stop")
 
         out, fresh, whole = (tmp_path / f"{name}{suffix}" for name in ("out", "fresh", "whole"))
         out.write_text("x" * 5000)
         for path in (out, fresh):
             with pytest.raises(RuntimeError, match="stop"):
-                _write_graph(path, ["A", "B"], rows())
+                _write_graph(path, ["A", "B"], rows)
         assert out.read_bytes() == fresh.read_bytes()
-        _write_graph(whole, ["A", "B"], [("A", ["B"])])
+        _write_graph(whole, ["A", "B"], lambda name: [(name("A"), [name("B")])])
         assert whole.read_bytes().startswith(out.read_bytes()) and b"x" not in out.read_bytes()
 
     @pytest.mark.parametrize("where", ["directory", "missing parent"])
