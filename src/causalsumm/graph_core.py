@@ -161,7 +161,7 @@ class Dag:
     ['B', 'D', 'E']
     """
 
-    __slots__ = ("_order", "_nodes", "_edges", "_parents", "_children", "_frozen")
+    __slots__ = ("_order", "_nodes", "_edges", "_parents", "_children", "_frozen", "_proven_order")
 
     def __init__(self, nodes, edges=()):
         # Each check tests the whole input at once; only when one fails does
@@ -205,11 +205,53 @@ class Dag:
         self._parents = parents
         self._children = children
         self._frozen = False
+        self._proven_order = None
+
+    @classmethod
+    def _ordered(cls, nodes, edges, order):
+        """``Dag(nodes, edges)`` proven acyclic by ``order``, or None.
+
+        When the labels pass, ``order`` is a permutation of them and every
+        edge goes forward in it, that one pass proves every endpoint a
+        label, no edge a self-loop and the graph acyclic, with ``order``
+        topological. The graph is then built with no Kahn pass and no
+        adjacency, which waits for first use. None when any of this fails
+        or an edge repeats: ``Dag(nodes, edges)`` then names the fault.
+        """
+        order = tuple(order)
+        nodes = tuple(nodes)
+        try:
+            if not (len(order) == len(nodes) and _labels_ok(nodes) and {*order} == {*nodes}):
+                return None
+            rank = {v: i for i, v in enumerate(order)}
+            if not all(rank[tail] < rank[head] for tail, head in edges):
+                return None
+            edge_set = frozenset(map(tuple, edges))
+        except (TypeError, ValueError, KeyError):  # not a pair of known labels
+            return None
+        if len(edge_set) != len(edges):
+            return None
+        self = cls.__new__(cls)
+        self._order = nodes
+        self._nodes = frozenset(nodes)
+        self._edges = edge_set
+        self._parents = self._children = None
+        self._frozen = False
+        self._proven_order = order
+        return self
 
     def _freeze(self):
-        parents = dict(zip(self._order, map(frozenset, self._parents.values())))
-        children = dict(zip(self._order, map(frozenset, self._children.values())))
-        self._parents, self._children = parents, children
+        """Make the frozen parent and child sets ``parents`` and ``children``
+        hand out; a graph built by ``_ordered`` first gets them from its edges."""
+        parents, children = self._parents, self._children
+        if parents is None:  # built by _ordered: adjacency from the edge set
+            parents = {v: [] for v in self._order}
+            children = {v: [] for v in self._order}
+            for tail, head in self._edges:
+                children[tail].append(head)
+                parents[head].append(tail)
+        self._parents = dict(zip(self._order, map(frozenset, parents.values())))
+        self._children = dict(zip(self._order, map(frozenset, children.values())))
         self._frozen = True  # set last: a reader that sees it sees the frozensets
 
     # === structure ===
@@ -294,6 +336,8 @@ class Dag:
         must cover the collider itself being in Z.
         """
         s = self.require(s)
+        if self._parents is None:  # built by _ordered, with no adjacency yet
+            self._freeze()
         result = set(s)
         frontier = deque(s)
         while frontier:
@@ -312,6 +356,8 @@ class Dag:
         Z \\ ancestors(W) must not erase Z trivially.)
         """
         s = self.require(s)
+        if self._parents is None:  # built by _ordered, with no adjacency yet
+            self._freeze()
         result = set()
         frontier = deque()
         for v in s:

@@ -111,7 +111,8 @@ class SummaryDag:
         self._validate()
 
     def _validate(self):
-        _check_order(self.base, self.base_order, "base_order", "base")
+        if self.base_order != self.base._proven_order:  # else proven when the base was built
+            _check_order(self.base, self.base_order, "base_order", "base")
         if set(self.mapping) != self.base.node_set:
             raise ValidationError("mapping must be total on the base nodes")
         images = set(self.mapping.values())

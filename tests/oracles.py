@@ -591,6 +591,7 @@ def reference_dag(nodes, edges=()):
     self._parents = {v: frozenset(ps) for v, ps in parents.items()}
     self._children = {v: frozenset(cs) for v, cs in children.items()}
     self._frozen = True
+    self._proven_order = None
 
     indegree = {v: len(self._parents[v]) for v in self._order}
     queue = deque(v for v in self._order if indegree[v] == 0)

@@ -758,21 +758,85 @@ class TestParserReuse:
     ids=["canonical", "ssep", "rb", "docalc-r1", "docalc-r2", "docalc-r3", "metrics"],
 )
 def test_dag_builds_are_pinned(fixtures_dir, tmp_path, monkeypatch, capsys, argv, builds):
-    # every Dag a command builds, as (nodes, edges): no command rebuilds a
-    # graph it loaded, and canonical --out never builds the grounded graph
+    # every Dag a command builds, as (nodes, edges), whether by the
+    # constructor or by the summary loader's ordered path: no command
+    # rebuilds a graph it loaded, and canonical --out never builds the
+    # grounded graph
     recorded = []
-    init = Dag.__init__
+    init, ordered = Dag.__init__, Dag._ordered.__func__
 
     def recording_init(self, nodes, edges=()):
         nodes, edges = list(nodes), list(edges)
         recorded.append((len(nodes), len(edges)))
         init(self, nodes, edges)
 
+    def recording_ordered(cls, nodes, edges, order):
+        g = ordered(cls, nodes, edges, order)
+        if g is not None:
+            recorded.append((g.num_nodes, g.num_edges))
+        return g
+
     monkeypatch.setattr(Dag, "__init__", recording_init)
+    monkeypatch.setattr(Dag, "_ordered", classmethod(recording_ordered))
     folder = {"h1.json": fixtures_dir, "h2.json": fixtures_dir, "c.json": tmp_path}
     assert cli([str(folder[a] / a) if a in folder else a for a in argv]) == 0
     capsys.readouterr()
     assert recorded == [(5, 5), (4, 3)] + builds
+
+
+@pytest.mark.parametrize("command", ["ssep", "r1", "r2", "r3", "canonical"])
+def test_a_summary_load_proves_its_base_by_one_order_test(
+    tmp_path, monkeypatch, capsys, command
+):
+    # counted: on the commands that answer on the quotient, a valid summary's
+    # base is proven acyclic by one forward pass over base_order; Kahn's pass
+    # (in Dag.__init__) never runs on it, SummaryDag does not test the order
+    # again, and the base's parent and child sets are never built
+    from causalsumm import summary
+
+    g = gen_random_dag(GenSpec(60, 0.1, 3))
+    order = topological_order(g)
+    path = tmp_path / "h.json"
+    save_summary(partition_summary(g, order, [order[i : i + 10] for i in range(0, 60, 10)]), path)
+    y, z, x, w = load_summary(path).quotient.nodes[:4]
+    argv = {
+        "ssep": ["query", "--in", path, "--mode", "ssep", "--x", x, "--y", y, "--z", z],
+        "canonical": ["canonical", "--in", path, "--out", tmp_path / "c.json"],
+    }.get(command, ["docalc", "--in", path, "--rule", command, "--y", y, "--z", z,
+                    "--x", x, "--w", w])
+
+    built, proofs, order_tests, adjacency = [], [], [], []
+    init, ordered, check_order, freeze = (
+        Dag.__init__, Dag._ordered.__func__, summary._check_order, Dag._freeze
+    )
+
+    def counting_init(self, nodes, edges=()):
+        nodes = list(nodes)
+        built.append(len(nodes))
+        init(self, nodes, edges)
+
+    def counting_ordered(cls, nodes, edges, order):
+        proven = ordered(cls, nodes, edges, order)
+        proofs.append(proven is not None)
+        return proven
+
+    def counting_check_order(*args):
+        order_tests.append(args[2])
+        check_order(*args)
+
+    def counting_freeze(self):
+        adjacency.append(self.num_nodes)
+        freeze(self)
+
+    monkeypatch.setattr(Dag, "__init__", counting_init)
+    monkeypatch.setattr(Dag, "_ordered", classmethod(counting_ordered))
+    monkeypatch.setattr(summary, "_check_order", counting_check_order)
+    monkeypatch.setattr(Dag, "_freeze", counting_freeze)
+    assert cli([str(a) for a in argv]) in (0, 1)
+    assert capsys.readouterr().err == ""
+    assert proofs == [True] and order_tests == []
+    assert 60 not in built and 60 not in adjacency
+    assert built and max(built) == 6  # the quotient and its mutilations
 
 
 def test_console_script(fixtures_dir, tmp_path):
@@ -938,6 +1002,22 @@ class TestLoaderFuzz:
         with pytest.raises(ParseError, match="pair of labels"):
             load_dag(path)
 
+    @pytest.mark.parametrize("where", ["graph", "base", "quotient"])
+    @pytest.mark.parametrize("pair", ["AB", {"A": 1, "B": 2}], ids=["joined", "object"])
+    def test_an_edge_must_be_a_list(self, tmp_path, where, pair):
+        # both values unpack into the labels "A" and "B", yet neither is a pair
+        if where == "graph":
+            doc, load = {"version": 1, "nodes": ["A", "B"], "edges": [pair]}, load_dag
+        else:
+            doc, load = _summary_doc(), load_summary
+            edges = doc["base"]["edges"] if where == "base" else doc["edges"]
+            edges[edges.index(["A", "BC"] if where == "quotient" else ["A", "B"])] = pair
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as error:
+            load(path)
+        assert str(error.value) == f"edge must be a [tail, head] pair of labels: {pair}"
+
     @pytest.mark.parametrize("field", ["clusters", "base_order"])
     def test_unhashable_summary_members_are_parse_errors(self, tmp_path, capsys, field):
         doc = _summary_doc()
@@ -953,6 +1033,17 @@ class TestLoaderFuzz:
         assert capsys.readouterr().err.startswith("error:")
 
 
+def _is_pair(value):
+    return isinstance(value, list) and len(value) == 2 and all(isinstance(v, str) for v in value)
+
+
+def _unpacking_pairs(tail, head):
+    """Values other than a list that unpack into ``tail, head``: their text
+    joined, when both are one character long, and an object keyed by them."""
+    joined = [tail + head] if len(tail) == len(head) == 1 else []
+    return joined + [{tail: 1, head: 2}]
+
+
 #: values no label may take: empty, with whitespace or a reserved character,
 #: not UTF-8, or not text
 BAD_LABELS = ["", " ", "a b", "x\t", "a,b", "|", ";", "\ud800", 1, None, ["A"], {"A": 1}]
@@ -963,8 +1054,9 @@ def mangled(draw, doc):
     """``doc`` after one to three edits of entries other than a version: a
     label swapped for a bad one or one already in use, a list entry dropped
     or repeated, a list reversed or two of its entries swapped, a key
-    renamed, an entry replaced by random JSON, or an edge dropped or added
-    between two labels already in use."""
+    renamed, an entry replaced by random JSON, an edge dropped or added
+    between two labels already in use, or an edge pair replaced by a value
+    that is not a list yet unpacks into its two labels."""
     doc = copy.deepcopy(doc)
     for _ in range(draw(st.integers(1, 3))):
         slots = []  # (container, key) of every entry but a version
@@ -981,10 +1073,12 @@ def mangled(draw, doc):
         labels = sorted({v for node, key in slots if isinstance(v := node[key], str)})
         edit = draw(
             st.sampled_from(
-                ["label", "drop", "repeat", "reverse", "swap", "rename", "json", "edge"]
+                ["label", "drop", "repeat", "reverse", "swap", "rename", "json", "edge",
+                 "pair"]
             )
         )
         fits = {
+            "pair": lambda node, key: isinstance(node, list) and _is_pair(node[key]),
             "swap": lambda node, key: isinstance(node[key], list) and len(node[key]) > 1,
             "edge": lambda node, key: key == "edges" and isinstance(node[key], list),
             "label": lambda node, key: isinstance(node[key], str),
@@ -1014,6 +1108,8 @@ def mangled(draw, doc):
         elif edit == "edge":  # perhaps a self-loop, a repeat, or closing a cycle
             ends = st.sampled_from(labels or ["A"])
             node[key].append([draw(ends), draw(ends)])
+        elif edit == "pair":  # "AB" or {"A": 1, "B": 2} in place of ["A", "B"]
+            node[key] = draw(st.sampled_from(_unpacking_pairs(*node[key])))
         elif edit == "rename":
             new = draw(st.sampled_from(labels + [k for k in BAD_LABELS if isinstance(k, str)]))
             items = [(new if k == key else k, v) for k, v in node.items()]
@@ -1078,3 +1174,40 @@ class TestLoaderMatchesThePerItemOracle:
         assert _outcome(_summary_from_doc, summary) == _outcome(
             reference_summary_from_doc, summary
         )
+
+
+class TestOrderedBase:
+    """A valid summary's base, built by one forward pass over ``base_order``
+    with its adjacency left for first use, is the graph ``Dag`` builds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(docs=graph_and_summary_docs(), data=st.data())
+    def test_equals_the_constructor(self, docs, data):
+        from causalsumm.cli_io import _ordered_base
+
+        _, summary = docs
+        doc = json.loads(json.dumps(summary))["base"]
+        g = _ordered_base(doc, summary["base_order"])
+        expected = Dag(doc["nodes"], map(tuple, doc["edges"]))
+        assert g is not None and g._parents is None  # no adjacency yet
+        assert g.nodes == expected.nodes and g.edges == expected.edges
+        subsets = st.sets(st.sampled_from(g.nodes), max_size=3) if g.nodes else st.just(set())
+        s = data.draw(subsets)
+        # reachability first: it must build the adjacency by itself
+        assert g.descendants(s) == expected.descendants(s)
+        assert g.ancestors(s) == expected.ancestors(s)
+        for v in g.nodes:
+            assert g.parents(v) == expected.parents(v)
+            assert g.children(v) == expected.children(v)
+        for _ in range(3):
+            s = data.draw(subsets)
+            assert g.descendants(s) == expected.descendants(s)
+            assert g.ancestors(s) == expected.ancestors(s)
+
+    def test_only_the_proving_order_skips_the_order_test(self, fixtures_dir):
+        from causalsumm import SummaryDag
+
+        h = load_summary(fixtures_dir / "h1.json")
+        assert h.base._proven_order == h.base_order
+        with pytest.raises(ValidationError, match="base_order is not topological: edge A -> B"):
+            SummaryDag(h.base, h.quotient, h.mapping, h.base_order[::-1])
