@@ -7,6 +7,7 @@ merge costs the greedy algorithm chooses between.
 """
 
 from itertools import combinations
+from pathlib import Path
 
 from causalsumm import (
     CagresConfig,
@@ -14,12 +15,14 @@ from causalsumm import (
     contract,
     get_cost,
     is_valid_pair,
+    load_dag,
     summarize,
     trivial_summary,
 )
-from causalsumm.fixtures import g1
 
-g = g1()
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+g = load_dag(FIXTURES / "g1.json")
 h = trivial_summary(g)
 
 print("merge costs at the start (invalid pairs skipped):")

@@ -7,10 +7,21 @@ positive answer is safe for every causal DAG the summary stands for.
 Interventions act on whole clusters: do(BC) intervenes on B and C.
 """
 
-from causalsumm import DoQuery, ValidationError, adjustment_set, rule_applies, trivial_summary
-from causalsumm.fixtures import g1, h1
+from pathlib import Path
 
-h = h1()
+from causalsumm import (
+    DoQuery,
+    ValidationError,
+    adjustment_set,
+    load_dag,
+    load_summary,
+    rule_applies,
+    trivial_summary,
+)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+g1 = load_dag(FIXTURES / "g1.json")
+h = load_summary(FIXTURES / "h1.json")
 print("summary:", h)
 
 # R1 - drop an observation: once D is seen, A tells E nothing
@@ -33,7 +44,7 @@ print("R3, drop do(BC) from P(E | do(BC)):", rule_applies(h, "R3", q))
 # the cluster parents of D, which is alone in its cluster.
 print("\nadjustment set for D -> E on the summary:", sorted(adjustment_set(h, "D", "E")))
 print("adjustment set for D -> E on the full DAG:",
-      sorted(adjustment_set(trivial_summary(g1()), "D", "E")))
+      sorted(adjustment_set(trivial_summary(g1), "D", "E")))
 
 # B shares its cluster with C, and a compatible DAG with C -> B and C -> D
 # has the backdoor path B <- C -> D -> E that the quotient does not show,

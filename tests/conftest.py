@@ -1,47 +1,52 @@
-import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-sys.path.insert(0, str(Path(__file__).parent))
+from causalsumm import Dag, load_dag, load_summary
 
-from causalsumm import Dag, fixtures
-
-
-@pytest.fixture
-def g1():
-    return fixtures.g1()
-
-
-@pytest.fixture
-def h1():
-    return fixtures.h1()
-
-
-@pytest.fixture
-def h2():
-    return fixtures.h2()
-
-
-@pytest.fixture
-def h3():
-    return fixtures.h3()
-
-
-@pytest.fixture
-def h4():
-    return fixtures.h4()
-
-
-@pytest.fixture
-def redshift():
-    return fixtures.redshift()
+#: the worked examples, one JSON file each; test_fixtures.py pins their bytes
+FIXTURES_DIR = Path(__file__).parent.parent / "fixtures"
 
 
 @pytest.fixture
 def fixtures_dir():
-    return Path(__file__).parent.parent / "fixtures"
+    return FIXTURES_DIR
+
+
+@pytest.fixture
+def g1():
+    return load_dag(FIXTURES_DIR / "g1.json")
+
+
+@pytest.fixture
+def h1():
+    return load_summary(FIXTURES_DIR / "h1.json")
+
+
+@pytest.fixture
+def h2():
+    return load_summary(FIXTURES_DIR / "h2.json")
+
+
+@pytest.fixture
+def h3():
+    return load_summary(FIXTURES_DIR / "h3.json")
+
+
+@pytest.fixture
+def h4():
+    return load_summary(FIXTURES_DIR / "h4.json")
+
+
+@pytest.fixture
+def redshift():
+    return load_dag(FIXTURES_DIR / "redshift.json")
+
+
+@pytest.fixture
+def redshift_missing_edge():
+    return load_dag(FIXTURES_DIR / "redshift_missing_edge.json")
 
 
 @st.composite

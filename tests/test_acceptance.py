@@ -30,13 +30,13 @@ from causalsumm import (
     ground_ci,
     is_compatible,
     is_valid_pair,
+    load_dag,
     random_summarize,
     summarize,
     summary_recursive_basis,
     topological_order,
     trivial_summary,
 )
-from causalsumm import fixtures
 from causalsumm.cli_io import cli
 from oracles import (
     all_dags,
@@ -99,7 +99,7 @@ def test_criterion_01_recursive_bases(criterion, fixtures_dir, capsys):
             assert {_parse_rb_line(line) for line in lines} == want, name
 
 
-def test_criterion_02_canonical_grounding(criterion, h3):
+def test_criterion_02_canonical_grounding(criterion, fixtures_dir, h3):
     with criterion(2, "canonical DAG of the three-cluster summary"):
         want = Dag(
             "ABCDE",
@@ -114,7 +114,7 @@ def test_criterion_02_canonical_grounding(criterion, h3):
             ],
         )
         assert canonical(h3) == want
-        assert canonical(h3) == fixtures.h3_canonical()
+        assert canonical(h3) == load_dag(fixtures_dir / "h3_canonical.json")
         assert additional_edges(h3) == 2
 
 

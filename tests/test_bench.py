@@ -26,7 +26,6 @@ from causalsumm import (
     write_report,
 )
 from causalsumm import bench
-from causalsumm.fixtures import redshift, redshift_missing_edge
 from causalsumm.graph_core import topological_order
 from causalsumm.separation import SeparationQuery, d_separated
 from causalsumm.summary import ground_ci, summary_recursive_basis
@@ -244,9 +243,9 @@ class TestPerturb:
     def test_noop_is_identity(self, redshift):
         assert perturb(redshift, add=0, remove=0, seed=9) == redshift
 
-    def test_seed_13_drops_the_cache_hit_edge(self, redshift):
+    def test_seed_13_drops_the_cache_hit_edge(self, redshift, redshift_missing_edge):
         # the one-edge removal used in the robustness fixtures
-        assert perturb(redshift, add=0, remove=1, seed=13) == redshift_missing_edge()
+        assert perturb(redshift, add=0, remove=1, seed=13) == redshift_missing_edge
 
     def test_deterministic_in_seed(self, redshift):
         a = perturb(redshift, add=5, remove=1, seed=3)

@@ -36,8 +36,7 @@ from causalsumm.cli_io import (
     export_summary_dot,
     load_similarity,
 )
-from causalsumm.fixtures import redshift_missing_edge
-from conftest import TRICKY_LABELS, tricky_dags
+from conftest import FIXTURES_DIR, TRICKY_LABELS, tricky_dags
 from oracles import (
     dag_to_doc,
     partition_summary,
@@ -606,12 +605,12 @@ class TestCommands:
         assert code == 0
         assert additional_edges(load_summary(out)) == 1
 
-    def test_perturb_matches_the_fixture(self, fixtures_dir, tmp_path):
+    def test_perturb_matches_the_fixture(self, fixtures_dir, tmp_path, redshift_missing_edge):
         out = str(tmp_path / "p.json")
         code = cli(["perturb", "--in", str(fixtures_dir / "redshift.json"),
                     "--add", "0", "--remove", "1", "--seed", "13", "--out", out])
         assert code == 0
-        assert load_dag(out) == redshift_missing_edge()
+        assert load_dag(out) == redshift_missing_edge
 
 
 class TestCliErrors:
@@ -921,14 +920,12 @@ def damaged(draw, doc):
         return doc
 
 
-def _summary_doc():
-    from causalsumm import fixtures
-
-    return summary_to_doc(fixtures.h1())
+def _h1_doc():
+    return json.loads((FIXTURES_DIR / "h1.json").read_text(encoding="utf-8"))
 
 
 file_contents = st.one_of(
-    st.builds(json.dumps, damaged(_summary_doc())).map(str.encode),
+    st.builds(json.dumps, damaged(_h1_doc())).map(str.encode),
     st.builds(json.dumps, json_values).map(str.encode),
     st.text(max_size=40).map(str.encode),
     st.binary(max_size=20),
@@ -1009,7 +1006,7 @@ class TestLoaderFuzz:
         if where == "graph":
             doc, load = {"version": 1, "nodes": ["A", "B"], "edges": [pair]}, load_dag
         else:
-            doc, load = _summary_doc(), load_summary
+            doc, load = _h1_doc(), load_summary
             edges = doc["base"]["edges"] if where == "base" else doc["edges"]
             edges[edges.index(["A", "BC"] if where == "quotient" else ["A", "B"])] = pair
         path = tmp_path / "in.json"
@@ -1020,7 +1017,7 @@ class TestLoaderFuzz:
 
     @pytest.mark.parametrize("field", ["clusters", "base_order"])
     def test_unhashable_summary_members_are_parse_errors(self, tmp_path, capsys, field):
-        doc = _summary_doc()
+        doc = _h1_doc()
         if field == "clusters":
             doc["clusters"]["BC"] = [["B"], "C"]
         else:

@@ -15,6 +15,8 @@ from causalsumm import (
     d_separated,
     ground_ci,
     is_compatible,
+    load_dag,
+    load_summary,
     mutilate,
     mutilate_summary,
     recursive_basis,
@@ -22,7 +24,6 @@ from causalsumm import (
     topological_order,
     trivial_summary,
 )
-from causalsumm import fixtures
 from conftest import dags, tricky_dags
 from oracles import has_long_path, reference_canonical
 
@@ -102,12 +103,12 @@ class TestTrivialSummary:
 
 
 class TestCompatibility:
-    def test_g1_and_g2_compatible_with_h1(self, h1):
-        assert is_compatible(fixtures.g1(), h1)
-        assert is_compatible(fixtures.g2(), h1)
+    def test_g1_and_g2_compatible_with_h1(self, fixtures_dir, g1, h1):
+        assert is_compatible(g1, h1)
+        assert is_compatible(load_dag(fixtures_dir / "g2.json"), h1)
 
-    def test_g3_not_compatible_with_h1(self, h1):
-        assert not is_compatible(fixtures.g3(), h1)
+    def test_g3_not_compatible_with_h1(self, fixtures_dir, h1):
+        assert not is_compatible(load_dag(fixtures_dir / "g3.json"), h1)
 
     def test_trivial_summary_is_always_compatible(self, g1):
         assert is_compatible(g1, trivial_summary(g1))
@@ -118,8 +119,8 @@ class TestCompatibility:
 
 
 class TestCanonical:
-    def test_h3_matches_worked_example(self, h3):
-        assert canonical(h3) == fixtures.h3_canonical()
+    def test_h3_matches_worked_example(self, fixtures_dir, h3):
+        assert canonical(h3) == load_dag(fixtures_dir / "h3_canonical.json")
         assert additional_edges(h3) == 2
 
     def test_h1_gains_exactly_the_bc_edge(self, g1, h1):
@@ -249,8 +250,8 @@ class TestRecursiveBasis:
             ("h4", [({"D", "E"}, {"A"}, {"B", "C"})]),
         ],
     )
-    def test_summary_rows_ground_to_expected_statements(self, name, expected):
-        h = getattr(fixtures, name)()
+    def test_summary_rows_ground_to_expected_statements(self, fixtures_dir, name, expected):
+        h = load_summary(fixtures_dir / f"{name}.json")
         grounded = [ground_ci(h, s) for s in summary_recursive_basis(h)]
         assert stmt_sets(grounded) == expected
 
