@@ -197,7 +197,7 @@ def random_summarize(g, k, seed=0):
         raise ValidationError(f"infeasible k={k} for {g.num_nodes} nodes")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
-    engine = _Engine.of_graph(g)
+    engine = _Engine(g)
     while len(engine.alive) > k:
         first, second = engine.valid_pairs()
         if not len(first):

@@ -98,42 +98,40 @@ class CagresConfig:
 
 
 class _Engine:
-    """The working partition of a greedy run, updated in place by each merge.
+    """The working partition of a greedy run over a graph, updated in place
+    by each merge.
 
-    Clusters are integer ids; a merge keeps the first id and retires the
-    second. ``links[x]`` is x's 0/1 row of parents followed by its row of
-    children, so ``adj = links[:, n:]`` is the quotient's adjacency matrix
-    (``adj[x, y]`` is an edge x -> y). ``size`` holds the member counts
-    and ``weight`` the total size of each cluster's neighbours; all three
-    are float64, so pricing runs as a BLAS product. Bit y of a bitset
-    stands for cluster y: ``kids[x]`` holds x's children and ``reach[x]``
-    holds x and every cluster x reaches. ``clash`` is the boolean matrix
-    of pairs with a member pair below the similarity threshold (None
-    without a similarity). ``memo`` holds merge prices; the rows of
-    ``stale`` clusters are due for re-pricing.
-
-    The first scan or merge adds what one-shot queries (``get_cost``,
-    ``is_valid_pair``) never read: members sorted in base order, ``far``,
-    the boolean matrix of pairs joined by a path of at least two edges,
-    and ``order``, the live ids sorted by label. A retired id leaves
-    ``order``, so no scan reads its rows or columns again. ``summary()``
-    builds the result.
+    Clusters are integer ids, starting as one per node; a merge keeps the
+    first id and retires the second. ``links[x]`` is x's 0/1 row of
+    parents followed by its row of children, so ``adj = links[:, n:]`` is
+    the quotient's adjacency matrix (``adj[x, y]`` is an edge x -> y).
+    ``size`` holds the member counts and ``weight`` the total size of each
+    cluster's neighbours; all three are float64, so pricing runs as a BLAS
+    product. Bit y of a bitset stands for cluster y: ``kids[x]`` holds x's
+    children and ``reach[x]`` holds x and every cluster x reaches. ``far``
+    is the boolean matrix of pairs joined by a path of at least two edges
+    and ``clash`` the one of pairs with a member pair below the similarity
+    threshold (None without a similarity). ``memo`` holds merge prices;
+    the rows of ``stale`` clusters are due for re-pricing. ``order`` holds
+    the live ids sorted by label; a retired id leaves it, so no scan reads
+    its rows or columns again. ``summary()`` builds the result.
     """
 
-    def __init__(self, base, base_order, quotient, clusters, similarity=None):
-        self.base, self.base_order = base, tuple(base_order)
+    def __init__(self, g, similarity=None):
+        self.base, self.base_order = g, topological_order(g)
         self.position = {v: i for i, v in enumerate(self.base_order)}
-        self.labels = list(quotient.nodes)
+        self.labels = list(g.nodes)
         self.ids = {label: i for i, label in enumerate(self.labels)}
         n = len(self.labels)
-        self.members = [list(clusters[label]) for label in self.labels]
-        self.size = np.array([len(vs) for vs in self.members], dtype=float)
-        children = [[self.ids[c] for c in quotient.children(label)] for label in self.labels]
+        self.members = [[v] for v in self.labels]
+        self.size = np.ones(n)
+        children = [[self.ids[c] for c in g.children(v)] for v in self.labels]
         tails = [x for x, heads in enumerate(children) for _ in heads]
         heads = [w for ws in children for w in ws]
         self.links = np.zeros((n, 2 * n))
         self.links[heads, tails] = self.links[tails, [n + w for w in heads]] = 1
         self.adj = self.links[:, n:]
+        self.weight = self.links.sum(axis=1)  # every neighbour has size 1
         self.alive = list(range(n))
         self.kids = [sum(1 << w for w in ws) for ws in children]
         self.reach = [0] * n
@@ -151,20 +149,17 @@ class _Engine:
                 left[p] -= 1
                 if not left[p]:
                     done.append(p)
-        self.clash = self._clashes(similarity)
+        self.far = self._bits([self._far_row(x) for x in self.alive])
+        self.clash = None
+        if similarity is not None:
+            index = _similarity_index(similarity, self.base_order)
+            rows = [index[v] for v in self.labels]
+            self.clash = similarity.values[np.ix_(rows, rows)] < similarity.threshold
         self.memo = np.zeros((n, n))
         self.stale = set(self.alive)
-        self.weight = self.far = None
-
-    @classmethod
-    def of(cls, h, similarity=None):
-        """An engine over the clusters of summary ``h``."""
-        return cls(h.base, h.base_order, h.quotient, h.clusters, similarity)
-
-    @classmethod
-    def of_graph(cls, g, similarity=None):
-        """An engine over the identity summary of ``g``."""
-        return cls(g, topological_order(g), g, {v: (v,) for v in g.nodes}, similarity)
+        self.plain = True  # every label is its one member
+        self.lower = np.tri(n, dtype=bool)
+        self.order = sorted(self.alive, key=self.labels.__getitem__)
 
     def _far_row(self, x):
         """The clusters ``x`` reaches by a path of at least two edges, as a bitset."""
@@ -175,35 +170,6 @@ class _Engine:
             kids ^= low
         return row
 
-    def _clashes(self, similarity):
-        if similarity is None:
-            return None
-        index = similarity._index
-        for v in self.base_order:
-            if v not in index:
-                raise UnknownNodeError(v)
-        rows = [index[v] for v in self.base_order]
-        below = similarity.values[np.ix_(rows, rows)] < similarity.threshold
-        spots = [[self.position[v] for v in vs] for vs in self.members]
-        # base positions below the threshold to some member, per cluster;
-        # then clusters holding such a position
-        near = np.array([below[p].any(axis=0) for p in spots])
-        return np.array([near[:, p].any(axis=1) for p in spots])
-
-    def id_of(self, label):
-        try:
-            return self.ids[label]
-        except KeyError:
-            raise UnknownNodeError(label) from None
-
-    def acyclic(self, a, b):
-        """Is merging ``a`` and ``b`` free of a directed cycle?"""
-        return not (self._far_row(a) >> b & 1 or self._far_row(b) >> a & 1)
-
-    def valid(self, a, b):
-        """Is merging ``a`` and ``b`` acyclic and within the similarity?"""
-        return self.acyclic(a, b) and (self.clash is None or not self.clash[a, b])
-
     def prices(self):
         """The merge price of every pair of live clusters, as a matrix."""
         if self.stale:
@@ -212,60 +178,28 @@ class _Engine:
         return self.memo
 
     def _price(self, rows):
-        """Price every pair involving a cluster in ``rows``.
-
-        A merge adds |a|*|b| clique edges unless a quotient edge already
-        grounds them, and each side gains the other's remaining parents
-        and children, weighted by the partner's size. With ``weight`` the
-        size of a cluster's neighbours and ``shared`` the size of the
-        neighbours two clusters have in common (in the same role) that is
-        |a||b| + |b| weight_a + |a| weight_b - (|a| + |b|) shared
-        - linked (|a|^2 + |a||b| + |b|^2). Every term is an integer far
-        below 2^53, so float64 arithmetic is exact.
-        """
-        links, size = self.links, self.size
+        """Price every pair involving a cluster in ``rows`` by ``_merge_price``,
+        after refreshing those rows' ``weight``. Every term is an integer
+        far below 2^53, so float64 arithmetic is exact."""
+        links, size, weight = self.links, self.size, self.weight
         n = len(size)
         sizes = np.concatenate((size, size))  # the size of each column of links
         rows = np.fromiter(rows, dtype=np.intp, count=len(rows))
-        if self.weight is None:
-            self.weight = links @ sizes
-        else:
-            self.weight[rows] = links[rows] @ sizes
-        weight = self.weight
+        weight[rows] = links[rows] @ sizes
         for start in range(0, len(rows), 32):  # keeps the temporaries small
             chunk = rows[start : start + 32]
             near = links[chunk]
             roles = near.any(axis=0).nonzero()[0]
             shared = (near[:, roles] * sizes[roles]) @ links[:, roles].T
-            s_row = size[chunk][:, None]
-            both = s_row + size
             linked = near[:, :n] + near[:, n:]
-            prices = (
-                s_row * (size + weight)
-                + size * weight[chunk][:, None]
-                - both * shared
-                - linked * (s_row * both + size * size)
+            prices = _merge_price(
+                size[chunk][:, None], size, weight[chunk][:, None], weight, shared, linked
             )
             self.memo[chunk] = prices
             self.memo[:, chunk] = prices.T
 
-    def _start_scan(self):
-        """Build what scans and merges need and one-shot queries do not:
-        members in base order, ``far``, the scan order and its lower
-        triangle."""
-        n = len(self.labels)
-        for vs in self.members:
-            vs.sort(key=self.position.__getitem__)
-        self.plain = self._plain(self.alive)
-        self.far = np.zeros((n, n), dtype=bool)
-        self.far[self.alive] = self._bits([self._far_row(x) for x in self.alive])
-        self.lower = np.tri(n, dtype=bool)
-        self.order = sorted(self.alive, key=self.labels.__getitem__)
-
     def merge(self, a, b):
         """Contract clusters ``a`` and ``b`` (a valid pair) into cluster ``a``."""
-        if self.far is None:
-            self._start_scan()
         links = self.links
         n = len(links)
         np.maximum(links[a], links[b], out=links[a])
@@ -341,8 +275,6 @@ class _Engine:
         """The live ids in label order, and which cells of the id-by-id grid
         in that order are *not* a valid pair: the lower triangle and the
         pairs that would close a cycle or break the similarity."""
-        if self.far is None:
-            self._start_scan()
         ids = np.array(self.order)
         far = self.far.take(ids, 0).take(ids, 1)
         bad = far | far.T
@@ -396,17 +328,54 @@ class _Engine:
         )
 
 
-def _pair_ids(engine, a, b):
-    i, j = engine.id_of(a), engine.id_of(b)
-    if i == j:
+def _merge_price(size_a, size_b, weight_a, weight_b, shared, linked):
+    """The canonical-DAG edges that merging clusters a and b adds.
+
+    The merge adds |a||b| clique edges unless a quotient edge already
+    grounds them (``linked`` is 1 when one joins a and b, else 0), and
+    each side gains the other's remaining parents and children, weighted
+    by the partner's size. ``weight_x`` is the total size of x's
+    neighbours and ``shared`` that of the neighbours a and b have in
+    common in the same role. Works on numbers and on numpy arrays alike.
+    """
+    both = size_a + size_b
+    return (
+        size_a * (size_b + weight_b)
+        + size_b * weight_a
+        - both * shared
+        - linked * (size_a * both + size_b * size_b)
+    )
+
+
+def _similarity_index(similarity, base_order):
+    """The similarity's row index, once it covers every node of
+    ``base_order``; otherwise UnknownNodeError names the first it misses."""
+    index = similarity._index
+    for v in base_order:
+        if v not in index:
+            raise UnknownNodeError(v)
+    return index
+
+
+def _acyclic(q, a, b):
+    """Does merging clusters ``a`` and ``b`` keep the quotient ``q`` acyclic?
+
+    It does not when a path of at least two edges joins them, that is
+    when one side reaches the other from a child other than the other
+    side. Raises UnknownNodeError naming ``a`` before ``b``, then
+    ValidationError when they are the same cluster.
+    """
+    seeds = (q.children(a) - {b}) | (q.children(b) - {a})
+    if a == b:
         raise ValidationError(f"({a}, {b}) is not a valid pair to merge")
-    return i, j
+    return {a, b}.isdisjoint(q.descendants(seeds))
 
 
 def get_cost(h, a, b):
     """The number of canonical-DAG edges that merging ``a`` and ``b`` adds.
 
-    Counted directly from the quotient neighborhoods: members of the two
+    Counted directly from the quotient neighborhoods by ``_merge_price``,
+    the formula the greedy engine prices with: members of the two
     clusters become pairwise adjacent (unless a quotient edge already
     grounds those pairs), and each cluster inherits the other's remaining
     parents and children. Sizes are grounded variable counts, so this
@@ -418,12 +387,17 @@ def get_cost(h, a, b):
     >>> get_cost(h, "B", "C"), get_cost(h, "D", "E"), get_cost(h, "A", "B")
     (1, 2, 2)
     """
-    engine = _Engine.of(h)
-    i, j = _pair_ids(engine, a, b)
-    if not engine.acyclic(i, j):
+    q, size = h.quotient, h.cluster_size
+    if not _acyclic(q, a, b):
         raise ValidationError(f"({a}, {b}) is not a valid pair to merge")
-    engine._price([i])
-    return int(engine.memo[i, j])
+    pa, ca, pb, cb = q.parents(a), q.children(a), q.parents(b), q.children(b)
+
+    def total(*groups):
+        return sum(size(c) for group in groups for c in group)
+
+    return _merge_price(
+        size(a), size(b), total(pa, ca), total(pb, cb), total(pa & pb, ca & cb), int(b in pa | ca)
+    )
 
 
 def is_valid_pair(h, a, b, cfg=None):
@@ -431,21 +405,31 @@ def is_valid_pair(h, a, b, cfg=None):
 
     False when a directed path of length >= 2 joins them (the contraction
     would create a cycle) or when a configured similarity constraint is
-    violated by any cross-cluster member pair.
+    violated by any cross-cluster member pair. A similarity that misses a
+    base node raises UnknownNodeError before the labels are checked.
     """
-    engine = _Engine.of(h, cfg.similarity if cfg is not None else None)
-    return engine.valid(*_pair_ids(engine, a, b))
+    similarity = cfg.similarity if cfg is not None else None
+    if similarity is not None:
+        index = _similarity_index(similarity, h.base_order)
+    if not _acyclic(h.quotient, a, b):
+        return False
+    if similarity is None:
+        return True
+    rows_a = [index[v] for v in h.members(a)]
+    rows_b = [index[v] for v in h.members(b)]
+    return not (similarity.values[np.ix_(rows_a, rows_b)] < similarity.threshold).any()
 
 
 def summarize(g, cfg):
     """Summarize ``g`` down to at most ``cfg.k`` clusters, greedily.
 
     Starts from the identity summary; each iteration scans all valid
-    cluster pairs in label order, prices each with ``get_cost``, and
-    merges a minimum-cost pair, so every merge is a cheapest valid merge
-    of the summary it is made in. Raises StuckError if the similarity
-    constraint exhausts valid pairs before the budget is met, and
-    UnknownNodeError if the similarity matrix misses a node of ``g``.
+    cluster pairs in label order, prices each with the formula
+    ``get_cost`` also uses, and merges a minimum-cost pair, so every merge
+    is a cheapest valid merge of the summary it is made in. Raises
+    StuckError if the similarity constraint exhausts valid pairs before
+    the budget is met, and UnknownNodeError if the similarity matrix
+    misses a node of ``g``.
 
     Ties are broken by a seeded coin, so runs are reproducible. The coin
     is sequential, not uniform: one ``random()`` draw is made at every
@@ -466,7 +450,7 @@ def summarize(g, cfg):
             f"infeasible k={cfg.k} for a graph with {g.num_nodes} nodes"
         )
     rng = random.Random(cfg.seed)
-    engine = _Engine.of_graph(g, cfg.similarity)
+    engine = _Engine(g, cfg.similarity)
     while len(engine.alive) > cfg.k:
         pair = engine.cheapest_pair(rng)
         if pair is None:

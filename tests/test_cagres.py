@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from causalsumm import (
     GraphError,
     SimilarityMatrix,
     StuckError,
+    UnknownNodeError,
     ValidationError,
     additional_edges,
     contract,
@@ -30,10 +32,12 @@ from causalsumm.summary import cluster_labels
 from conftest import dags
 from oracles import (
     canonical_delta,
+    reference_cost,
     reference_random_summarize,
     reference_summarize,
+    reference_valid,
 )
-from test_summary import _random_summary
+from test_summary import _random_mutilation, _random_summary, colliding_summaries
 
 
 def full_similarity(g, overrides=None, threshold=0.8):
@@ -126,12 +130,107 @@ class TestIsValidPair:
         assert is_valid_pair(h, "D", "E", cfg)
 
 
+@st.composite
+def query_cases(draw):
+    """A random summary, of a plain, ``#``-labelled or colliding-label
+    graph and mutilated half the time, with a similarity over its base."""
+    rngs = st.randoms(use_true_random=False)
+    graphs = dags() | hashed_dags(max_nodes=8)
+    h = draw(st.builds(_random_summary, graphs, rngs) | colliding_summaries())
+    if draw(st.booleans()):
+        h = _random_mutilation(h, draw(rngs))
+    labels = h.base.nodes
+    values = uniform_values(len(labels), draw(rngs))
+    threshold = draw(st.sampled_from([0.0, 0.3, 0.5, 0.9]))
+    return h, CagresConfig(k=1, similarity=SimilarityMatrix(labels, values, threshold))
+
+
+def _failure(run):
+    try:
+        run()
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+class TestOneShotQueriesMatchTheReference:
+    @settings(max_examples=80, deadline=None)
+    @given(query_cases())
+    def test_every_pair(self, case):
+        h, cfg = case
+        for a, b in permutations(h.quotient.nodes, 2):
+            valid = reference_valid(h, a, b)
+            assert is_valid_pair(h, a, b) == valid
+            assert is_valid_pair(h, a, b, cfg) == reference_valid(h, a, b, cfg.similarity)
+            if valid:
+                assert get_cost(h, a, b) == reference_cost(h, a, b)
+            else:
+                assert _failure(lambda: get_cost(h, a, b)) == (
+                    ValidationError,
+                    f"({a}, {b}) is not a valid pair to merge",
+                )
+
+    @settings(max_examples=40, deadline=None)
+    @given(query_cases(), st.data())
+    def test_errors_come_in_a_fixed_order(self, case, data):
+        h, cfg = case
+        a = data.draw(st.sampled_from(h.quotient.nodes))
+        queries = [
+            lambda x, y: get_cost(h, x, y),
+            lambda x, y: is_valid_pair(h, x, y),
+            lambda x, y: is_valid_pair(h, x, y, cfg),
+        ]
+        for query in queries:
+            # an unknown a is named before an unknown b; a == b comes last
+            assert _failure(lambda: query("?a", "?b")) == (UnknownNodeError, "unknown node: '?a'")
+            assert _failure(lambda: query("?a", a)) == (UnknownNodeError, "unknown node: '?a'")
+            assert _failure(lambda: query(a, "?b")) == (UnknownNodeError, "unknown node: '?b'")
+            assert _failure(lambda: query(a, a)) == (
+                ValidationError,
+                f"({a}, {a}) is not a valid pair to merge",
+            )
+        # a similarity missing base nodes names the first in base order,
+        # before any label is checked
+        missing = data.draw(st.sets(st.sampled_from(h.base.nodes), min_size=1))
+        kept = [v for v in h.base.nodes if v not in missing] + ["?z"]
+        similarity = SimilarityMatrix(kept, np.ones((len(kept), len(kept))), 0.5)
+        cfg = CagresConfig(k=1, similarity=similarity)
+        first = next(v for v in h.base_order if v in missing)
+        for x, y in [("?a", "?b"), (a, "?b"), (a, a), (a, a + "?")]:
+            assert _failure(lambda: is_valid_pair(h, x, y, cfg)) == (
+                UnknownNodeError,
+                f"unknown node: {first!r}",
+            )
+
+
+def test_one_shot_queries_build_no_engine(g1, h1, h2, h3, h4):
+    built = []
+    init = _Engine.__init__
+
+    def counted_init(engine, *args):
+        built.append(engine)
+        init(engine, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Engine, "__init__", counted_init)
+        for h in (h1, h2, h3, h4):
+            cfg = CagresConfig(k=1, similarity=full_similarity(h.base, threshold=0.5))
+            for a, b in permutations(h.quotient.nodes, 2):
+                is_valid_pair(h, a, b, cfg)
+                if is_valid_pair(h, a, b):
+                    get_cost(h, a, b)
+        assert not built
+        summarize(g1, CagresConfig(k=2, seed=3))
+        assert len(built) == 1
+        random_summarize(g1, 2, seed=3)
+        assert len(built) == 2
+
+
 class TestEngine:
     def test_merge_evicts_the_merge_neighbourhood(self, g1):
-        engine = _Engine.of_graph(g1)
+        engine = _Engine(g1)
         engine.prices()
         assert not engine.stale
-        a, b, c, d = (engine.id_of(v) for v in "ABCD")
+        a, b, c, d = (engine.ids[v] for v in "ABCD")
         engine.merge(b, c)
         # the merged cluster and its neighbours A and D are re-priced
         assert engine.stale == {a, b, d}
@@ -140,8 +239,8 @@ class TestEngine:
         assert engine.prices()[a, b] == get_cost(contract(h, "B", "C"), "A", "BC")
 
     def test_memo_entries_outside_the_neighbourhood_survive(self):
-        engine = _Engine.of_graph(Dag("ABCXY", [("A", "B"), ("X", "Y")]))
-        a, b, c, x, y = (engine.id_of(v) for v in "ABCXY")
+        engine = _Engine(Dag("ABCXY", [("A", "B"), ("X", "Y")]))
+        a, b, c, x, y = (engine.ids[v] for v in "ABCXY")
         engine.prices()
         engine.merge(a, b)
         assert engine.stale == {a}
@@ -149,17 +248,21 @@ class TestEngine:
 
     def test_reachability_is_ored_into_ancestors(self):
         g = Dag("ABCDE", [("A", "B"), ("C", "D"), ("D", "E")])
-        engine = _Engine.of_graph(g)
-        a, b, c, d, e = (engine.id_of(v) for v in "ABCDE")
-        assert engine.acyclic(a, e)
+        engine = _Engine(g)
+        a, b, c, d, e = (engine.ids[v] for v in "ABCDE")
+
+        def acyclic(x, y):  # no path of two or more edges either way
+            return not (engine.far[x, y] or engine.far[y, x])
+
+        assert acyclic(a, e)
         engine.merge(b, c)  # now A -> BC -> D -> E
-        assert not engine.acyclic(a, d) and not engine.acyclic(a, e)
-        assert engine.acyclic(a, b) and engine.acyclic(d, e)
+        assert not acyclic(a, d) and not acyclic(a, e)
+        assert acyclic(a, b) and acyclic(d, e)
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(random_dags(max_nodes=20), hashed_dags()), st.randoms(use_true_random=False))
     def test_labels_follow_cluster_labels_after_every_merge(self, g, rng):
-        engine = _Engine.of_graph(g)
+        engine = _Engine(g)
         while True:
             first, second = engine.valid_pairs()
             if not len(first):
@@ -270,6 +373,14 @@ class TestSummarize:
         assert is_compatible(g, h)
 
 
+def uniform_values(n, rng):
+    """An n-by-n symmetric similarity with unit diagonal, uniform elsewhere."""
+    values = np.array([[rng.random() for _ in range(n)] for _ in range(n)])
+    values = (values + values.T) / 2
+    np.fill_diagonal(values, 1.0)
+    return values
+
+
 @st.composite
 def greedy_cases(draw):
     """A random DAG, a budget k and an optional similarity."""
@@ -277,10 +388,7 @@ def greedy_cases(draw):
     n, labels = g.num_nodes, list(g.nodes)
     similarity = None
     if draw(st.booleans()):
-        rng = draw(st.randoms(use_true_random=False))
-        values = np.array([[rng.random() for _ in range(n)] for _ in range(n)])
-        values = (values + values.T) / 2
-        np.fill_diagonal(values, 1.0)
+        values = uniform_values(n, draw(st.randoms(use_true_random=False)))
         threshold = draw(st.sampled_from([0.0, 0.3, 0.5, 0.9]))
         similarity = SimilarityMatrix(labels, values, threshold)
     cfg = CagresConfig(
@@ -297,10 +405,7 @@ def similarity_cases(draw):
     similarity, at the two thresholds that block some merges but not most."""
     g = draw(random_dags(max_nodes=12, min_nodes=4))
     n = g.num_nodes
-    rng = draw(st.randoms(use_true_random=False))
-    values = np.array([[rng.random() for _ in range(n)] for _ in range(n)])
-    values = (values + values.T) / 2
-    np.fill_diagonal(values, 1.0)
+    values = uniform_values(n, draw(st.randoms(use_true_random=False)))
     threshold = draw(st.sampled_from([0.3, 0.5]))
     cfg = CagresConfig(
         k=draw(st.integers(1, n)),

@@ -19,6 +19,7 @@ from causalsumm import (
     s_separated,
     trivial_summary,
 )
+from causalsumm import docalc
 from causalsumm.docalc import RULES
 from conftest import dags, tricky_dags
 from oracles import (
@@ -125,16 +126,34 @@ class TestRuleApplies:
         if len(labels) < 2:
             return
         for _ in range(4):
-            order = rng.sample(labels, len(labels))
-            i = rng.randrange(1, len(order))
-            j = rng.randrange(i + 1, len(order) + 1)
-            rest = order[j:]
-            x = {c for c in rest if rng.random() < 0.3}
-            w = {c for c in rest if c not in x and rng.random() < 0.5}
-            q = DoQuery(y=order[:i], z=order[i:j], x=x, w=w)
+            q = _random_do_query(labels, rng)
             for rule, zw_in_hbar in product(RULES, (True, False)):
                 expected = summary_rule_applies(h, rule, q, zw_in_hbar)
                 assert rule_applies(h, rule, q, zw_in_hbar) == expected, (rule, zw_in_hbar, q)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.builds(_random_summary, dags() | tricky_dags(), st.randoms(use_true_random=False))
+        | colliding_summaries(),
+        st.randoms(use_true_random=False),
+    )
+    def test_builds_at_most_two_mutilated_quotients(self, h, rng):
+        labels = sorted(h.quotient.nodes)
+        if len(labels) < 2:
+            return
+        q = _random_do_query(labels, rng)
+        calls = []
+
+        def counted_mutilate(*args):
+            calls.append(args)
+            return mutilate(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(docalc, "mutilate", counted_mutilate)
+            for rule, zw_in_hbar in product(RULES, (True, False)):
+                calls.clear()
+                rule_applies(h, rule, q, zw_in_hbar)
+                assert len(calls) == (2 if (rule, zw_in_hbar) == ("R3", True) else 1)
 
     @given(dags(min_nodes=3, max_nodes=6), st.randoms(use_true_random=False))
     def test_positive_answers_transfer_to_the_mutilated_base(self, g, rng):
@@ -178,6 +197,18 @@ class TestRuleApplies:
         for _, edges in compatible_dags(h):
             for positive, holds in checks.items():
                 assert holds(edges), (edges, positive)
+
+
+def _random_do_query(labels, rng):
+    """A DoQuery over ``labels`` (at least two): non-empty y and z, and
+    x and w drawn from the rest."""
+    order = rng.sample(labels, len(labels))
+    i = rng.randrange(1, len(order))
+    j = rng.randrange(i + 1, len(order) + 1)
+    rest = order[j:]
+    x = {c for c in rest if rng.random() < 0.3}
+    w = {c for c in rest if c not in x and rng.random() < 0.5}
+    return DoQuery(y=order[:i], z=order[i:j], x=x, w=w)
 
 
 class TestAdjustmentSet:

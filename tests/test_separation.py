@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -89,6 +91,29 @@ class TestDSeparation:
         query = _draw_query(data, g)
         flipped = SeparationQuery(query.y, query.x, query.z)
         assert d_separated(g, query) == d_separated(g, flipped)
+
+    @given(dags(min_nodes=2, max_nodes=9), st.data())
+    def test_each_state_reads_its_neighbours_once(self, g, data):
+        # ball passing visits at most 2|V| (node, direction) states and
+        # reads a node's parents and its children at most once per state:
+        # at most twice per node, so at most 2|V| times each per query
+        query = _draw_query(data, g)
+        calls = Counter()
+        parents, children = Dag.parents, Dag.children
+
+        def counted_parents(self, v):
+            calls["parents", v] += 1
+            return parents(self, v)
+
+        def counted_children(self, v):
+            calls["children", v] += 1
+            return children(self, v)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Dag, "parents", counted_parents)
+            mp.setattr(Dag, "children", counted_children)
+            d_separated(g, query)
+        assert max(calls.values(), default=0) <= 2
 
 
 def _draw_query(data, g):
