@@ -270,12 +270,14 @@ def _write_graph(path, nodes, rows):
     ``rows(name)`` yields ``(tail, heads)`` already as text, each label
     given as ``name(label)``, with tails and heads in label order, so the
     edges come out in ``sorted(edges)`` order. ``name`` encodes each label
-    once: by ``json.dumps`` for JSON, whose layout is the one
+    once: as a JSON string for JSON (``json.encoder.encode_basestring_ascii``,
+    the text ``json.dumps`` gives a ``str``), whose layout is the one
     ``json.dumps(doc, indent=2)`` gives, and as a quoted DOT identifier for
     DOT, whose layout declares every node, then every edge.
     """
     is_json = _format_of(path) == "json"
-    quoted = {v: (json.dumps if is_json else _dot_quote)(v) for v in nodes}
+    quote = json.encoder.encode_basestring_ascii if is_json else _dot_quote
+    quoted = {v: quote(v) for v in nodes}
     rows = rows(quoted.__getitem__)
     with _output(path) as fh:
         if is_json:
@@ -409,8 +411,9 @@ def save_summary(h, path):
     if _format_of(path) != "json":
         export_summary_dot(h, path)
         return
-    quoted = {v: json.dumps(v) for v in h.base.nodes}
-    labels = {label: json.dumps(label) for label in h.quotient.nodes}
+    quote = json.encoder.encode_basestring_ascii
+    quoted = {v: quote(v) for v in h.base.nodes}
+    labels = {label: quote(label) for label in h.quotient.nodes}
     clusters = [
         f"{labels[label]}: " + _json_items([quoted[v] for v in members], "    ")
         for label, members in _members_in_order(h).items()
@@ -579,9 +582,10 @@ def _cmd_perturb(args):
 
 @functools.cache
 def _build_parser():
-    """The command-line parser, built once per process.
+    """The command-line parser and its command parsers by name, built once
+    per process.
 
-    ``parse_args`` leaves the parser unchanged and returns a fresh
+    ``parse_args`` leaves a parser unchanged and returns a fresh
     ``Namespace`` on each call, so one parser serves every ``cli`` call.
     """
     parser = argparse.ArgumentParser(
@@ -657,14 +661,33 @@ def _build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_perturb)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv):
+    """``parser.parse_args(argv)``, with a command word sent straight to its
+    command's parser.
+
+    That skips the top-level parse, which would only hand the command's
+    parser every argument after the word and fail what it leaves over
+    with this same error. Help, usage errors and unknown commands take the
+    top-level parse. The namespace has no ``command`` attribute, which no
+    handler reads.
+    """
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def cli(argv=None):
     """Run the command line; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -8,7 +8,6 @@ so downstream algorithms never re-validate. Graphs are values: every
 
 from collections import deque
 import heapq
-from itertools import chain
 
 #: characters reserved by the file formats (field separators)
 RESERVED_CHARS = frozenset(",;|")

@@ -288,6 +288,25 @@ def canonical_s_separated(h, query):
     return d_separated(canonical(h), grounded)
 
 
+def reference_implication_percentage(a, b):
+    """RB implication by grounding: each statement of b's recursive basis,
+    grounded to base variables, d-separated in the materialised
+    ``canonical(a)``."""
+    from causalsumm import SeparationQuery, ValidationError, canonical, d_separated
+    from causalsumm.summary import ground_ci, summary_recursive_basis
+
+    if a.base != b.base:
+        raise ValidationError("summaries must share the same base graph")
+    statements = [ground_ci(b, s) for s in summary_recursive_basis(b)]
+    if not statements:
+        return 100.0
+    canon = canonical(a)
+    implied = sum(
+        d_separated(canon, SeparationQuery(x=s.x, y=s.y, z=s.z)) for s in statements
+    )
+    return 100.0 * implied / len(statements)
+
+
 def _grounded_edges(h, order):
     """Every member pair of a quotient edge, plus each cluster's members
     joined pairwise along ``order``: the canonical edges that ``h`` grounds

@@ -1,4 +1,5 @@
 import io
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,13 +20,15 @@ from causalsumm import (
     compare,
     gen_random_dag,
     implication_percentage,
+    load_dag,
     perturb,
     random_summarize,
     report_row,
     trivial_summary,
     write_report,
 )
-from causalsumm import bench
+import oracles
+from causalsumm import bench, summary
 from causalsumm.graph_core import topological_order
 from causalsumm.separation import SeparationQuery, d_separated
 from causalsumm.summary import ground_ci, summary_recursive_basis
@@ -37,9 +40,10 @@ from oracles import (
     partition_summary,
     reference_brute_force_summarize,
     reference_gen_random_dag,
+    reference_implication_percentage,
 )
 from test_cagres import random_dags
-from test_summary import _random_summary
+from test_summary import _random_mutilation, _random_summary
 
 
 class TestGenRandomDag:
@@ -171,6 +175,47 @@ class TestBruteForceMatchesThePlainSearch:
         assert outcome == _brute_force_outcome(reference_brute_force_summarize, g, 5)
 
 
+#: search nodes ``brute_force_summarize`` expands on each fixture graph, at
+#: k = 1, 2, ...; each is at most the unpruned search's count
+EXPANDED = {
+    "g1": [6, 19, 21, 9, 6],
+    "g2": [6, 25, 15, 9, 6],
+    "g3": [6, 25, 29, 22, 6],
+    "h3_canonical": [6, 16, 12, 15, 16],
+}
+
+
+def _search_nodes(module, search, g, k):
+    """How many search nodes ``search(g, k)`` expands: the calls of the
+    ``extend`` function nested in it, one per node."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_name == "extend" and code.co_filename == module.__file__:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        search(g, k)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestBruteForceWorkIsCounted:
+    """Counted, not timed: the completion bound keeps the search small."""
+
+    @pytest.mark.parametrize("name", sorted(EXPANDED))
+    def test_nodes_expanded_are_pinned(self, fixtures_dir, name):
+        g = load_dag(fixtures_dir / f"{name}.json")
+        assert len(EXPANDED[name]) == g.num_nodes
+        for k, pin in enumerate(EXPANDED[name], start=1):
+            assert pin <= _search_nodes(oracles, reference_brute_force_summarize, g, k), k
+            assert _search_nodes(bench, brute_force_summarize, g, k) < 1.25 * pin, k
+
+
 class TestRandomSummarize:
     def test_reaches_the_budget(self, g1):
         h = random_summarize(g1, k=3, seed=5)
@@ -224,6 +269,27 @@ class TestImplicationPercentage:
         for _, edges in compatible_dags(a):
             for s in implied:
                 assert moral_d_separated(edges, s.x, s.y, s.z), (edges, s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dags(min_nodes=1, max_nodes=8), st.randoms(use_true_random=False), st.booleans())
+    def test_matches_the_grounded_reference(self, g, rng, cut):
+        a = _random_summary(g, rng)
+        if cut:
+            a = _random_mutilation(a, rng)
+        for b in (a, trivial_summary(g), _random_summary(g, rng)):
+            assert implication_percentage(a, b) == reference_implication_percentage(a, b)
+            assert implication_percentage(b, a) == reference_implication_percentage(b, a)
+
+    def test_builds_no_dag_and_no_canonical(self, h1, h2, monkeypatch):
+        # every statement is decided over a's clusters: nothing is grounded
+        built = []
+        monkeypatch.setattr(Dag, "__init__", lambda self, *args: built.append(args))
+        monkeypatch.setattr(Dag, "_ordered", lambda *args: built.append(args))
+        monkeypatch.setattr(summary, "canonical", lambda h: built.append(h))
+        assert not hasattr(bench, "canonical")
+        assert implication_percentage(h1, h2) == 100.0
+        assert implication_percentage(h2, h1) == 0.0
+        assert built == []
 
     def test_base_graphs_must_match(self, h1, redshift):
         with pytest.raises(ValidationError, match="same base"):

@@ -4,10 +4,10 @@ import doctest
 
 import pytest
 
-from causalsumm import cagres, graph_core, separation, summary
+from causalsumm import bench, cagres, graph_core, separation, summary
 
 
-@pytest.mark.parametrize("module", [graph_core, separation, summary, cagres])
+@pytest.mark.parametrize("module", [graph_core, separation, summary, cagres, bench])
 def test_module_doctests(module):
     result = doctest.testmod(module)
     assert result.failed == 0

@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalsumm import (
@@ -10,10 +10,12 @@ from causalsumm import (
     SizeLimitError,
     UnknownNodeError,
     ValidationError,
+    canonical,
     d_separated,
     s_separated,
     trivial_summary,
 )
+from causalsumm.separation import _canonical_walk
 from conftest import dags
 from oracles import (
     canonical_s_separated,
@@ -21,7 +23,8 @@ from oracles import (
     moral_d_separated,
     nx_d_separated,
 )
-from test_summary import _random_mutilation, _random_summary
+from test_cagres import hashed_dags
+from test_summary import _random_mutilation, _random_summary, colliding_summaries
 
 
 class TestQueryValidation:
@@ -161,3 +164,70 @@ class TestSSeparation:
             for _ in range(3):
                 query = _draw_query(data, s.quotient)
                 assert s_separated(s, query) == canonical_s_separated(s, query)
+
+
+@st.composite
+def summaries(draw):
+    """A random summary of a plain or ``#``-labelled graph, or one with a
+    colliding ``AB#2`` label, mutilated half the time."""
+    rng = draw(st.randoms(use_true_random=False))
+    graphs = dags(min_nodes=2, max_nodes=9) | hashed_dags(max_nodes=9).filter(
+        lambda g: g.num_nodes > 1
+    )
+    h = draw(st.builds(_random_summary, graphs, st.just(rng)) | colliding_summaries())
+    return _random_mutilation(h, rng) if draw(st.booleans()) else h
+
+
+def _draw_base_query(data, h):
+    """Disjoint x, y and z of any sizes over the base variables, x and y non-empty."""
+    order = data.draw(st.permutations(h.base.nodes), label="order")
+    a = data.draw(st.integers(1, len(order) - 1), label="x ends")
+    b = data.draw(st.integers(a + 1, len(order)), label="y ends")
+    c = data.draw(st.integers(b, len(order)), label="z ends")
+    return SeparationQuery(order[:a], order[a:b], order[b:c])
+
+
+class TestCanonicalWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(summaries(), st.data())
+    def test_matches_d_separation_in_the_canonical_dag(self, h, data):
+        canon, separated = canonical(h), _canonical_walk(h)
+        for _ in range(3):
+            query = _draw_base_query(data, h)
+            assert separated(query.x, query.y, query.z) == d_separated(canon, query)
+
+    @settings(max_examples=80, deadline=None)
+    @given(summaries(), st.data())
+    def test_each_statement_is_counted(self, h, data):
+        # each (member, direction) state tests y once, so at most 2n tests;
+        # each cluster reads its quotient parents, and its quotient
+        # children, at most once, and the base graph is never read
+        query = _draw_base_query(data, h)
+        tests = []
+
+        class CountedSet(frozenset):
+            def __contains__(self, v):
+                tests.append(v)
+                return frozenset.__contains__(self, v)
+
+        calls = Counter()
+        parents, children = Dag.parents, Dag.children
+
+        def counted_parents(self, v):
+            calls[self is h.quotient, "parents", v] += 1
+            return parents(self, v)
+
+        def counted_children(self, v):
+            calls[self is h.quotient, "children", v] += 1
+            return children(self, v)
+
+        separated = _canonical_walk(h)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Dag, "parents", counted_parents)
+            mp.setattr(Dag, "children", counted_children)
+            answer = separated(query.x, CountedSet(query.y), query.z)
+        assert answer == d_separated(canonical(h), query)
+        assert len(tests) <= 2 * h.base.num_nodes
+        assert max(Counter(tests).values(), default=0) <= 2
+        assert all(on_quotient for on_quotient, _, _ in calls)
+        assert max(calls.values(), default=0) <= 1
