@@ -15,7 +15,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .cagres import _Engine
+from .cagres import _check_seed, _Engine
 from .graph_core import Dag, SizeLimitError, ValidationError, topological_order
 from .separation import _canonical_walk
 from .summary import SummaryDag, additional_edges, ground_ci, summary_recursive_basis
@@ -35,12 +35,6 @@ class GenSpec:
         if not 0.0 <= self.density <= 1.0:
             raise ValidationError(f"density must lie in [0, 1], got {self.density}")
         _check_seed(self.seed)
-
-
-def _check_seed(seed):
-    # numpy Generators refuse negative seeds with a bare ValueError
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,12 @@ class SimilarityMatrix:
             raise UnknownNodeError(exc.args[0]) from None
 
 
+def _check_seed(seed):
+    # numpy refuses a negative seed with a bare ValueError; random.Random takes |seed|
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class CagresConfig:
     """Knobs for ``summarize``.
@@ -95,6 +101,7 @@ class CagresConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValidationError(f"k must be >= 1, got {self.k}")
+        _check_seed(self.seed)
 
 
 class _Engine:

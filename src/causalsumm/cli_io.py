@@ -393,14 +393,6 @@ def _cluster_mapping(clusters):
     return mapping
 
 
-def _members_in_order(h):
-    """Cluster label -> its members in base order, in quotient node order."""
-    members = {label: [] for label in h.quotient.nodes}
-    for v in h.base_order:
-        members[h.mapping[v]].append(v)
-    return members
-
-
 def save_summary(h, path):
     """Write a summary to ``path``: JSON (lossless) or DOT (render-only).
 
@@ -416,7 +408,7 @@ def save_summary(h, path):
     labels = {label: quote(label) for label in h.quotient.nodes}
     clusters = [
         f"{labels[label]}: " + _json_items([quoted[v] for v in members], "    ")
-        for label, members in _members_in_order(h).items()
+        for label, members in h.ordered_clusters.items()
     ]
     with _output(path) as fh:
         fh.write(f'{{\n  "version": {FORMAT_VERSION},\n  "base": ')
@@ -431,7 +423,7 @@ def save_summary(h, path):
 def export_summary_dot(h, path):
     """Render a summary as DOT: one node per cluster, labeled by members."""
     lines = ["digraph {"]
-    for label, members in _members_in_order(h).items():
+    for label, members in h.ordered_clusters.items():
         lines.append(f"  {_dot_quote(label)} [label={_dot_quote(','.join(members))}];")
     for u, v in sorted(h.quotient.edges):
         lines.append(f"  {_dot_quote(u)} -> {_dot_quote(v)};")

@@ -59,9 +59,12 @@ def d_separated(g, query):
     given z: some non-head-to-head node on the trail is in z, or some
     head-to-head node is outside z with no descendant in z.
 
-    Decided by ball-passing reachability over (node, arrival-direction)
-    states rather than trail enumeration; the slow reference, which
-    enumerates trails, is a test oracle in ``tests/oracles.py``.
+    Decided by Bayes-ball (Shachter, UAI 1998): reachability over (node,
+    arrival-direction) states rather than trail enumeration. A collider
+    sends the ball back up only when it is in z; one with a descendant in
+    z gets the ball back from below, where that descendant bounces it, so
+    no ancestor set is computed. The slow reference, which enumerates
+    trails, is a test oracle in ``tests/oracles.py``.
 
     >>> g = Dag("ABCDE", [("A","B"), ("A","C"), ("B","D"), ("C","D"), ("D","E")])
     >>> d_separated(g, SeparationQuery({"B"}, {"C"}, {"A"}))
@@ -71,11 +74,6 @@ def d_separated(g, query):
     """
     g.require(query.members())
     x, y, z = query.x, query.y, query.z
-
-    # colliders may be passed when they (or a descendant) are conditioned on:
-    # exactly the set z together with its ancestors
-    opened = z | g.ancestors(z)
-
     visited = set()
     frontier = deque((s, _UP) for s in x)
     while frontier:
@@ -87,22 +85,12 @@ def d_separated(g, query):
         # and endpoints are exempt from them — so touching y means connected
         if v in y:
             return False
-        if direction == _UP:
-            # came from a child: v is a chain or fork node here
-            if v not in z:
-                for parent in g.parents(v):
-                    frontier.append((parent, _UP))
-                for child in g.children(v):
-                    frontier.append((child, _DOWN))
-        else:
-            # came from a parent: continuing downward keeps v a chain node,
-            # turning back up makes v a head-to-head node
-            if v not in z:
-                for child in g.children(v):
-                    frontier.append((child, _DOWN))
-            if v in opened:
-                for parent in g.parents(v):
-                    frontier.append((parent, _UP))
+        if v not in z:  # on to the children, as a chain or fork node
+            frontier.extend((child, _DOWN) for child in g.children(v))
+        # on to the parents: from a child as a chain or fork node outside z,
+        # from a parent only as a head-to-head node in z, which bounces the ball
+        if (direction == _UP) == (v not in z):
+            frontier.extend((parent, _UP) for parent in g.parents(v))
     return True
 
 
@@ -151,11 +139,8 @@ def _canonical_walk(h):
     (True, False)
     """
     q = h.quotient
-    members = {c: [] for c in q.nodes}
-    for v in h.base_order:
-        members[h.mapping[v]].append(v)
     label, cluster, span = [], [], {}  # span: cluster -> (first id, end id)
-    for c, vs in members.items():
+    for c, vs in h.ordered_clusters.items():
         span[c] = (len(label), len(label) + len(vs))
         label += vs
         cluster += [c] * len(vs)

@@ -99,7 +99,7 @@ class SummaryDag:
     ['B', 'C']
     """
 
-    __slots__ = ("base", "quotient", "mapping", "base_order", "mutilated", "_fibers")
+    __slots__ = ("base", "quotient", "mapping", "base_order", "mutilated", "_ordered")
 
     def __init__(self, base, quotient, mapping, base_order, mutilated=False):
         self.base = base
@@ -107,7 +107,7 @@ class SummaryDag:
         self.mapping = dict(mapping)
         self.base_order = tuple(base_order)
         self.mutilated = bool(mutilated)
-        self._fibers = None
+        self._ordered = None
         self._validate()
 
     def _validate(self):
@@ -127,19 +127,29 @@ class SummaryDag:
             )
 
     @property
+    def ordered_clusters(self):
+        """Mapping from cluster label, in quotient node order, to a tuple of
+        its members in base order: the within-cluster order of ``canonical``.
+
+        ``from_partition`` fills it; any other summary buckets ``base_order``
+        once, on first use.
+        """
+        if self._ordered is None:
+            members = {label: [] for label in self.quotient.nodes}
+            for v in self.base_order:
+                members[self.mapping[v]].append(v)
+            self._ordered = {label: tuple(vs) for label, vs in members.items()}
+        return self._ordered
+
+    @property
     def clusters(self):
         """Mapping from cluster label to frozenset of member base nodes."""
-        if self._fibers is None:
-            fibers = {label: set() for label in self.quotient.nodes}
-            for v, label in self.mapping.items():
-                fibers[label].add(v)
-            self._fibers = {label: frozenset(vs) for label, vs in fibers.items()}
-        return self._fibers
+        return {label: frozenset(vs) for label, vs in self.ordered_clusters.items()}
 
     def members(self, label):
         """The base nodes grouped under ``label`` (f⁻¹)."""
         try:
-            return self.clusters[label]
+            return frozenset(self.ordered_clusters[label])
         except KeyError:
             raise UnknownNodeError(label) from None
 
@@ -203,7 +213,9 @@ class SummaryDag:
             labels.values(), sorted((labels[a], labels[b]) for a, b in block_edges)
         )
         mapping = {v: labels[block] for v, block in block_of.items()}
-        return cls(base, quotient, mapping, base_order, mutilated=mutilated)
+        h = cls(base, quotient, mapping, base_order, mutilated=mutilated)
+        h._ordered = {labels[block]: tuple(vs) for block, vs in members.items()}
+        return h
 
 
 def cluster_labels(blocks):
@@ -358,9 +370,7 @@ def canonical_rows(h, name):
     labels = sorted(h.base_order)
     text = list(map(name, labels))
     rank = {v: i for i, v in enumerate(labels)}
-    members = {c: [] for c in h.quotient.nodes}
-    for v in h.base_order:
-        members[h.mapping[v]].append(rank[v])
+    members = {c: [rank[v] for v in vs] for c, vs in h.ordered_clusters.items()}
     rows = [None] * len(labels)
     for c, ranks in members.items():
         keys = sorted([i for d in h.quotient.children(c) for i in members[d]])
@@ -390,7 +400,7 @@ def additional_edges(h):
 
     Negative when a mutilated summary's quotient drops base edges.
     """
-    sizes = {label: len(vs) for label, vs in h.clusters.items()}
+    sizes = {label: len(vs) for label, vs in h.ordered_clusters.items()}
     return canonical_edge_count(sizes, h.quotient.edges) - h.base.num_edges
 
 

@@ -687,7 +687,7 @@ def reference_summary(base, quotient, mapping, base_order, mutilated=False):
     self.mapping = dict(mapping)
     self.base_order = tuple(base_order)
     self.mutilated = bool(mutilated)
-    self._fibers = None
+    self._ordered = None
     _reference_check_order(self.base, self.base_order, "base_order", "base")
     if set(self.mapping) != self.base.node_set:
         raise ValidationError("mapping must be total on the base nodes")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from causalsumm import (
     REPORT_COLUMNS,
+    CagresConfig,
     ComparisonReport,
     CycleError,
     Dag,
@@ -62,6 +63,9 @@ class TestGenRandomDag:
             perturb(g1, 1, 1, seed=-1)
         with pytest.raises(ValidationError, match=message):
             random_summarize(g1, 3, seed=-1)
+        # random.Random would take |seed|, so the coin of -1 would be that of 1
+        with pytest.raises(ValidationError, match=message):
+            CagresConfig(k=3, seed=-1)
 
     def test_density_extremes(self):
         empty = gen_random_dag(GenSpec(n=6, density=0.0, seed=1))

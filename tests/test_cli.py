@@ -656,6 +656,7 @@ class TestCliErrors:
         [
             ["gen", "--n", "5", "--density", "0.5", "--seed", "-1"],
             ["perturb", "--in", "g1.json", "--add", "1", "--remove", "1", "--seed", "-1"],
+            ["summarize", "--in", "g1.json", "--k", "2", "--seed", "-1"],
         ],
     )
     def test_negative_seed_exits_1(self, fixtures_dir, tmp_path, capsys, argv):

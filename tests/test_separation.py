@@ -99,7 +99,8 @@ class TestDSeparation:
     def test_each_state_reads_its_neighbours_once(self, g, data):
         # ball passing visits at most 2|V| (node, direction) states and
         # reads a node's parents and its children at most once per state:
-        # at most twice per node, so at most 2|V| times each per query
+        # at most twice per node, so at most 2|V| times each per query;
+        # as Bayes-ball, it computes no ancestor or descendant set
         query = _draw_query(data, g)
         calls = Counter()
         parents, children = Dag.parents, Dag.children
@@ -112,10 +113,17 @@ class TestDSeparation:
             calls["children", v] += 1
             return children(self, v)
 
+        def closure(self, vs):
+            calls["closure"] += 1
+            return frozenset()
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Dag, "parents", counted_parents)
             mp.setattr(Dag, "children", counted_children)
+            mp.setattr(Dag, "ancestors", closure)
+            mp.setattr(Dag, "descendants", closure)
             d_separated(g, query)
+        assert "closure" not in calls
         assert max(calls.values(), default=0) <= 2
 
 

@@ -7,6 +7,7 @@ from causalsumm import (
     CycleError,
     Dag,
     SeparationQuery,
+    SummaryDag,
     UnknownNodeError,
     ValidationError,
     additional_edges,
@@ -14,18 +15,21 @@ from causalsumm import (
     contract,
     d_separated,
     ground_ci,
+    implication_percentage,
     is_compatible,
     load_dag,
     load_summary,
     mutilate,
     mutilate_summary,
     recursive_basis,
+    save_summary,
     summary_recursive_basis,
     topological_order,
     trivial_summary,
 )
+from causalsumm.cli_io import _summary_from_doc, cli
 from conftest import dags, tricky_dags
-from oracles import has_long_path, reference_canonical
+from oracles import has_long_path, reference_canonical, summary_to_doc
 
 _rngs = st.randoms(use_true_random=False)
 
@@ -350,6 +354,53 @@ class TestSummaryDagInvariants:
 
         with pytest.raises(ValidationError, match="topological: edge A -> B goes backwards"):
             SummaryDag(g1, h1.quotient, h1.mapping, tuple("EDCBA"))
+
+    @given(
+        st.builds(_random_summary, dags() | tricky_dags(), _rngs) | colliding_summaries(),
+        _rngs,
+        st.sampled_from(["contracted", "mutilated", "loaded"]),
+    )
+    def test_ordered_clusters_bucket_the_base_order(self, h, rng, kind):
+        if kind == "mutilated":
+            h = _random_mutilation(h, rng)
+        elif kind == "loaded":
+            # a document may list clusters, and their members, in any order
+            doc = summary_to_doc(h)
+            clusters = list(doc["clusters"].items())
+            rng.shuffle(clusters)
+            doc["clusters"] = {c: rng.sample(vs, len(vs)) for c, vs in clusters}
+            h = _summary_from_doc(doc)
+        expected = {c: [] for c in h.quotient.nodes}
+        for v in h.base_order:
+            expected[h.mapping[v]].append(v)
+        view = h.ordered_clusters
+        assert list(view) == list(h.quotient.nodes)
+        assert {c: list(vs) for c, vs in view.items()} == expected
+        assert h.clusters == {c: frozenset(vs) for c, vs in expected.items()}
+
+    def test_members_are_bucketed_at_most_once(self, fixtures_dir, tmp_path, monkeypatch):
+        buckets = []
+        view = SummaryDag.ordered_clusters.fget
+
+        def counted(h):
+            if h._ordered is None:
+                buckets.append(h)
+            return view(h)
+
+        monkeypatch.setattr(SummaryDag, "ordered_clusters", property(counted))
+        path = fixtures_dir / "h1.json"
+        assert cli(["canonical", "--in", str(path), "--out", str(tmp_path / "c.json")]) == 0
+        assert len(buckets) == 1
+        loaded = load_summary(path)
+        # a loaded summary buckets once; one built from a partition never
+        for h, expected in ((loaded, [loaded]), (contract(loaded, "A", "BC"), [])):
+            buckets.clear()
+            canonical(h)
+            save_summary(h, tmp_path / "h.json")
+            save_summary(h, tmp_path / "h.dot")
+            implication_percentage(h, h)
+            assert h.clusters and h.members(h.quotient.nodes[0])
+            assert buckets == expected
 
     @given(dags(min_nodes=2, max_nodes=6), st.randoms(use_true_random=False))
     def test_random_contraction_sequences_stay_valid(self, g, rng):
