@@ -45,7 +45,9 @@ class SimilarityMatrix:
     """Pairwise semantic similarity over base nodes, with a merge threshold.
 
     A cluster pair may only merge when every cross-cluster member pair has
-    similarity at least ``threshold``.
+    similarity at least ``threshold``. A matrix symmetric only to within
+    ``np.allclose`` is stored as the elementwise minimum of it and its
+    transpose, so both orders of a pair read the smaller entry.
     """
 
     __slots__ = ("labels", "values", "threshold", "_index")
@@ -65,6 +67,7 @@ class SimilarityMatrix:
             raise ValidationError("similarity matrix contains NaN")
         if not np.allclose(self.values, self.values.T):
             raise ValidationError("similarity matrix must be symmetric")
+        self.values = np.minimum(self.values, self.values.T)
         if not np.allclose(np.diag(self.values), 1.0):
             raise ValidationError("similarity diagonal must be 1")
         if self.values.min() < 0.0 or self.values.max() > 1.0:
@@ -115,13 +118,15 @@ class _Engine:
     ``size`` holds the member counts and ``weight`` the total size of each
     cluster's neighbours; all three are float64, so pricing runs as a BLAS
     product. Bit y of a bitset stands for cluster y: ``kids[x]`` holds x's
-    children and ``reach[x]`` holds x and every cluster x reaches. ``far``
-    is the boolean matrix of pairs joined by a path of at least two edges
-    and ``clash`` the one of pairs with a member pair below the similarity
-    threshold (None without a similarity). ``memo`` holds merge prices;
-    the rows of ``stale`` clusters are due for re-pricing. ``order`` holds
-    the live ids sorted by label; a retired id leaves it, so no scan reads
-    its rows or columns again. ``summary()`` builds the result.
+    children and ``reach[x]`` holds x and every cluster x reaches, filled
+    first by one pass over the reversed ``base_order`` (children before
+    parents). ``far`` is the boolean matrix of pairs joined by a path of at
+    least two edges and ``clash`` the one of pairs with a member pair below
+    the similarity threshold (None without a similarity). ``memo`` holds
+    merge prices; the rows of ``stale`` clusters are due for re-pricing.
+    ``order`` holds the live ids sorted by label; a retired id leaves it,
+    so no scan reads its rows or columns again. ``summary()`` builds the
+    result.
     """
 
     def __init__(self, g, similarity=None):
@@ -142,20 +147,11 @@ class _Engine:
         self.alive = list(range(n))
         self.kids = [sum(1 << w for w in ws) for ws in children]
         self.reach = [0] * n
-        parents = [[] for _ in range(n)]
-        for x, w in zip(tails, heads):
-            parents[w].append(x)
-        left = [len(ws) for ws in children]
-        done = [x for x in range(n) if not left[x]]
-        for x in done:  # Kahn's procedure from the sinks up
+        for x in map(self.ids.__getitem__, reversed(self.base_order)):  # children first
             row = 1 << x
             for w in children[x]:
                 row |= self.reach[w]
             self.reach[x] = row
-            for p in parents[x]:
-                left[p] -= 1
-                if not left[p]:
-                    done.append(p)
         self.far = self._bits([self._far_row(x) for x in self.alive])
         self.clash = None
         if similarity is not None:

@@ -148,12 +148,21 @@ def _edge_pairs(edges, what):
     return list(map(tuple, edges))
 
 
-def _dag_from_doc(doc):
+def _dag_from_doc(doc, order=None):
+    """A graph document's ``Dag``. With a summary's ``order``, edges that are
+    all lists first try ``Dag._ordered``, whose one forward pass stands in
+    for Kahn's pass and the summary's order test; when it fails, ``Dag``
+    raises what the per-item checks would, in their order."""
     _require(isinstance(doc, dict), "graph document must be an object")
     _require_version(doc)
     nodes = doc.get("nodes")
     _require(isinstance(nodes, list), "graph document needs a 'nodes' list")
-    return Dag(nodes, _edge_pairs(doc.get("edges", []), "graph document"))
+    edges = doc.get("edges", [])
+    if isinstance(order, list) and isinstance(edges, list) and {*map(type, edges)} <= {list}:
+        g = Dag._ordered(nodes, edges, order)
+        if g is not None:
+            return g
+    return Dag(nodes, _edge_pairs(edges, "graph document"))
 
 
 # --- the DOT subset -------------------------------------------------------
@@ -336,9 +345,7 @@ def _summary_from_doc(doc):
     _require_version(doc)
     for key in ("base", "base_order", "clusters", "edges"):
         _require(key in doc, f"summary document needs {key!r}")
-    base = _ordered_base(doc["base"], doc["base_order"])
-    if base is None:  # the per-item path; SummaryDag then tests base_order
-        base = _dag_from_doc(doc["base"])
+    base = _dag_from_doc(doc["base"], doc["base_order"])
     _require(_labels(doc["base_order"]), "'base_order' must be a list of labels")
     edges = _edge_pairs(doc["edges"], "summary document")
     clusters = doc["clusters"]
@@ -349,28 +356,6 @@ def _summary_from_doc(doc):
     _require(type(mutilated) is bool, "'mutilated' must be true or false")
     quotient = Dag(list(clusters), edges)
     return SummaryDag(base, quotient, mapping, doc["base_order"], mutilated=mutilated)
-
-
-def _ordered_base(doc, order):
-    """A summary's base graph, proven acyclic by its ``base_order``, or None.
-
-    For a graph document whose edges are all lists, ``Dag._ordered``'s one
-    forward pass over ``order`` stands in for both Kahn's check and the
-    summary's order test. None sends the loader down the per-item path,
-    which raises every error it did before, in the same order.
-    """
-    if not (isinstance(doc, dict) and isinstance(order, list)):
-        return None
-    version, nodes, edges = doc.get("version"), doc.get("nodes"), doc.get("edges", [])
-    if not (
-        type(version) is int
-        and version == FORMAT_VERSION
-        and isinstance(nodes, list)
-        and isinstance(edges, list)
-        and {*map(type, edges)} <= {list}
-    ):
-        return None
-    return Dag._ordered(nodes, edges, order)
 
 
 def _cluster_mapping(clusters):
@@ -683,6 +668,8 @@ def cli(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if hasattr(args, "out"):  # an unsupported extension fails before any work
+            _format_of(args.out)
         return args.handler(args)
     except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

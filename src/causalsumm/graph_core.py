@@ -122,10 +122,13 @@ def _check_edges(nodes, edges):
         seen.add((tail, head))
 
 
-def _recover_cycle(parents, indegree):
+def _recover_cycle(edges, indegree):
     # every node left with indegree > 0 sits on or downstream of a cycle;
     # walking parents inside that residue must eventually repeat a node
     residue = {v for v, d in indegree.items() if d > 0}
+    parents = {}
+    for tail, head in edges:
+        parents.setdefault(head, []).append(tail)
     v = min(residue)
     trail, seen = [], {}
     while v not in seen:
@@ -151,6 +154,10 @@ class Dag:
         duplicate pairs, endpoints outside ``nodes``, and directed cycles
         all raise.
 
+    The parent and child sets are built from the edge set once, by
+    ``_freeze`` on first read. ``_require_order`` is the one test of a
+    topological order.
+
     Examples
     --------
     >>> g = Dag("ABCDE", [("A", "B"), ("A", "C"), ("B", "D"), ("C", "D"), ("D", "E")])
@@ -160,7 +167,7 @@ class Dag:
     ['B', 'D', 'E']
     """
 
-    __slots__ = ("_order", "_nodes", "_edges", "_parents", "_children", "_frozen", "_proven_order")
+    __slots__ = ("_order", "_nodes", "_edges", "_parents", "_children", "_proven_order")
 
     def __init__(self, nodes, edges=()):
         # Each check tests the whole input at once; only when one fails does
@@ -171,19 +178,18 @@ class Dag:
         node_set = frozenset(order)
 
         edges = list(edges)
-        parents = {v: set() for v in order}
-        children = {v: set() for v in order}
+        children = {v: [] for v in order}
+        indegree = dict.fromkeys(order, 0)
         try:
             edge_set = set(map(tuple, edges))
             for tail, head in edge_set:  # an unknown endpoint raises KeyError
-                children[tail].add(head)
-                parents[head].add(tail)
+                children[tail].append(head)
+                indegree[head] += 1
         except (TypeError, ValueError, KeyError):  # not a pair of known labels
             edge_set = None
         if edge_set is None or len(edge_set) != len(edges):
             _check_edges(node_set, edges)  # raises, naming the first bad edge
         # Kahn's procedure: a self-loop or a cycle leaves nodes unemitted
-        indegree = dict(zip(order, map(len, parents.values())))
         ready = [v for v in order if not indegree[v]]
         for v in ready:
             for child in children[v]:
@@ -193,65 +199,61 @@ class Dag:
                     ready.append(child)
         if len(ready) != len(order):
             _check_edges(node_set, edges)  # a self-loop is named before any cycle
-            raise CycleError(_recover_cycle(parents, indegree))
+            raise CycleError(_recover_cycle(edge_set, indegree))
 
         self._order = order
         self._nodes = node_set
-        # frozensets copied from sets are sized to their contents
-        self._edges = frozenset(edge_set)
-        # the construction sets, never changed again; parents() and
-        # children() hand out frozen copies, made on the first call
-        self._parents = parents
-        self._children = children
-        self._frozen = False
-        self._proven_order = None
+        self._edges = frozenset(edge_set)  # copied from a set: sized to its contents
+        self._parents = self._children = self._proven_order = None
 
     @classmethod
     def _ordered(cls, nodes, edges, order):
-        """``Dag(nodes, edges)`` proven acyclic by ``order``, or None.
-
-        When the labels pass, ``order`` is a permutation of them and every
-        edge goes forward in it, that one pass proves every endpoint a
-        label, no edge a self-loop and the graph acyclic, with ``order``
-        topological. The graph is then built with no Kahn pass and no
-        adjacency, which waits for first use. None when any of this fails
-        or an edge repeats: ``Dag(nodes, edges)`` then names the fault.
-        """
-        order = tuple(order)
+        """``Dag(nodes, edges)``, proven acyclic by ``order`` with no Kahn
+        pass, or None. A forward pass over a permutation of the labels
+        proves every endpoint a label, no edge a self-loop and the graph
+        acyclic. None when a label, an edge or the order fails; then
+        ``Dag(nodes, edges)`` names the fault."""
         nodes = tuple(nodes)
-        try:
-            if not (len(order) == len(nodes) and _labels_ok(nodes) and {*order} == {*nodes}):
-                return None
-            rank = {v: i for i, v in enumerate(order)}
-            if not all(rank[tail] < rank[head] for tail, head in edges):
-                return None
-            edge_set = frozenset(map(tuple, edges))
-        except (TypeError, ValueError, KeyError):  # not a pair of known labels
-            return None
-        if len(edge_set) != len(edges):
+        if not _labels_ok(nodes):
             return None
         self = cls.__new__(cls)
         self._order = nodes
         self._nodes = frozenset(nodes)
-        self._edges = edge_set
-        self._parents = self._children = None
-        self._frozen = False
-        self._proven_order = order
+        self._parents = self._children = self._proven_order = None
+        try:
+            self._edges = frozenset(map(tuple, edges))
+            if len(self._edges) != len(edges):
+                return None
+            self._require_order(order, "order", "graph's")
+        except (TypeError, ValueError, KeyError, ValidationError):  # not labels, or not in order
+            return None
         return self
 
+    def _require_order(self, order, name, owner):
+        """Raise ``ValidationError`` unless ``order`` is topological, by one
+        forward pass; the last order proven is recorded and passes at once."""
+        if order == self._proven_order:
+            return
+        order = tuple(order)
+        if len(order) != len(self._order) or {*order} != self._nodes:
+            raise ValidationError(f"{name} must be a permutation of the {owner} nodes")
+        position = {v: i for i, v in enumerate(order)}
+        edge = min(((u, v) for u, v in self._edges if position[u] >= position[v]), default=None)
+        if edge is not None:
+            u, v = edge
+            raise ValidationError(f"{name} is not topological: edge {u} -> {v} goes backwards")
+        self._proven_order = order
+
     def _freeze(self):
-        """Make the frozen parent and child sets ``parents`` and ``children``
-        hand out; a graph built by ``_ordered`` first gets them from its edges."""
-        parents, children = self._parents, self._children
-        if parents is None:  # built by _ordered: adjacency from the edge set
-            parents = {v: [] for v in self._order}
-            children = {v: [] for v in self._order}
-            for tail, head in self._edges:
-                children[tail].append(head)
-                parents[head].append(tail)
-        self._parents = dict(zip(self._order, map(frozenset, parents.values())))
+        """Build the frozen parent and child sets from the edge set."""
+        parents = {v: [] for v in self._order}
+        children = {v: [] for v in self._order}
+        for tail, head in self._edges:
+            children[tail].append(head)
+            parents[head].append(tail)
         self._children = dict(zip(self._order, map(frozenset, children.values())))
-        self._frozen = True  # set last: a reader that sees it sees the frozensets
+        # set last: a reader that sees the parents sees the children too
+        self._parents = dict(zip(self._order, map(frozenset, parents.values())))
 
     # === structure ===
 
@@ -313,7 +315,7 @@ class Dag:
         """π(v): the set of tails of edges into ``v``."""
         if v not in self._nodes:
             raise UnknownNodeError(v)
-        if not self._frozen:
+        if self._parents is None:
             self._freeze()
         return self._parents[v]
 
@@ -321,7 +323,7 @@ class Dag:
         """The set of heads of edges out of ``v``."""
         if v not in self._nodes:
             raise UnknownNodeError(v)
-        if not self._frozen:
+        if self._parents is None:
             self._freeze()
         return self._children[v]
 
@@ -335,7 +337,7 @@ class Dag:
         must cover the collider itself being in Z.
         """
         s = self.require(s)
-        if self._parents is None:  # built by _ordered, with no adjacency yet
+        if self._parents is None:
             self._freeze()
         result = set(s)
         frontier = deque(s)
@@ -355,7 +357,7 @@ class Dag:
         Z \\ ancestors(W) must not erase Z trivially.)
         """
         s = self.require(s)
-        if self._parents is None:  # built by _ordered, with no adjacency yet
+        if self._parents is None:
             self._freeze()
         result = set()
         frontier = deque()

@@ -111,8 +111,7 @@ class SummaryDag:
         self._validate()
 
     def _validate(self):
-        if self.base_order != self.base._proven_order:  # else proven when the base was built
-            _check_order(self.base, self.base_order, "base_order", "base")
+        self.base._require_order(self.base_order, "base_order", "base")
         if set(self.mapping) != self.base.node_set:
             raise ValidationError("mapping must be total on the base nodes")
         images = set(self.mapping.values())
@@ -319,17 +318,6 @@ def _edge_without_image(h, edges):
     return min((u, v) for u, v in edges if (a := f[u]) != (b := f[v]) and not has_edge(a, b))
 
 
-def _check_order(g, order, name, owner):
-    """Raise ``ValidationError`` unless ``order`` is a topological order of ``g``."""
-    if set(order) != g.node_set or len(order) != g.num_nodes:
-        raise ValidationError(f"{name} must be a permutation of the {owner} nodes")
-    position = {v: i for i, v in enumerate(order)}
-    edge = min(((u, v) for u, v in g.edges if position[u] >= position[v]), default=None)
-    if edge is not None:
-        u, v = edge
-        raise ValidationError(f"{name} is not topological: edge {u} -> {v} goes backwards")
-
-
 def canonical(h):
     """The canonical causal DAG the summary stands for.
 
@@ -415,7 +403,7 @@ def recursive_basis(g, order):
     [frozenset({'A'})]
     """
     order = tuple(order)
-    _check_order(g, order, "order", "graph's")
+    g._require_order(order, "order", "graph's")
 
     statements = []
     seen = set()

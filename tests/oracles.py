@@ -609,7 +609,6 @@ def reference_dag(nodes, edges=()):
     self._edges = frozenset(edge_set)
     self._parents = {v: frozenset(ps) for v, ps in parents.items()}
     self._children = {v: frozenset(cs) for v, cs in children.items()}
-    self._frozen = True
     self._proven_order = None
 
     indegree = {v: len(self._parents[v]) for v in self._order}

@@ -274,6 +274,24 @@ class TestEngine:
             assert labels == cluster_labels(engine.members[x] for x in live)
             assert engine.ids == dict(zip(labels, live))
 
+    @settings(max_examples=60, deadline=None)
+    @given(random_dags(max_nodes=16), st.randoms(use_true_random=False))
+    def test_reach_is_the_quotient_reachability_after_every_merge(self, g, rng):
+        # each live id's reach bitset is exactly what its cluster reaches in
+        # the summary's quotient, itself included: at construction, which
+        # fills it children first, and after every random valid merge
+        engine = _Engine(g)
+        while True:
+            q = engine.summary().quotient
+            for x in engine.alive:
+                reached = q.descendants({engine.labels[x]})
+                assert engine.reach[x] == sum(1 << engine.ids[c] for c in reached)
+            first, second = engine.valid_pairs()
+            if not len(first):
+                break
+            pick = rng.randrange(len(first))
+            engine.merge(int(first[pick]), int(second[pick]))
+
 
 class TestSummarize:
     def test_g1_k5_is_trivial(self, g1):
@@ -415,6 +433,32 @@ def similarity_cases(draw):
     return g, cfg
 
 
+@st.composite
+def near_symmetric_cases(draw):
+    """A random DAG with 4-8 nodes, a budget k and a similarity at tau 0.5
+    whose entries are 0.5 on one side of the diagonal and 0.5 - 1e-7 on the
+    other, for about half the pairs, and 0.2 or 0.9 on both for the rest."""
+    g = draw(random_dags(max_nodes=8, min_nodes=4))
+    n = g.num_nodes
+    rng = draw(st.randoms(use_true_random=False))
+    values = np.ones((n, n))
+    for i in range(n):
+        for j in range(i):
+            if rng.random() < 0.5:
+                high, low = (i, j), (j, i)
+                if rng.random() < 0.5:
+                    high, low = low, high
+                values[high], values[low] = 0.5, 0.5 - 1e-7
+            else:
+                values[i, j] = values[j, i] = rng.choice([0.2, 0.9])
+    cfg = CagresConfig(
+        k=draw(st.integers(1, n)),
+        seed=draw(st.integers(0, 10_000)),
+        similarity=SimilarityMatrix(list(g.nodes), values, 0.5),
+    )
+    return g, cfg
+
+
 def _outcome(run):
     try:
         return run()
@@ -436,6 +480,22 @@ class TestEngineMatchesTheRescan:
     def test_summarize_matches_the_reference_rescan_under_a_similarity(self, case):
         # every merge must carry the merged cluster's clash row and column
         g, cfg = case
+        assert _outcome(lambda: summarize(g, cfg)) == _outcome(
+            lambda: reference_summarize(g, cfg)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(near_symmetric_cases())
+    def test_a_near_symmetric_similarity_reads_the_smaller_entry(self, case):
+        # entries that straddle the threshold by 1e-7 pass the symmetry
+        # check: the engine, is_valid_pair in both orders and the rescan
+        # must all read the smaller of the two
+        g, cfg = case
+        values = cfg.similarity.values
+        assert (values == values.T).all()
+        h = trivial_summary(g)
+        for a, b in permutations(g.nodes, 2):
+            assert is_valid_pair(h, a, b, cfg) == is_valid_pair(h, b, a, cfg)
         assert _outcome(lambda: summarize(g, cfg)) == _outcome(
             lambda: reference_summarize(g, cfg)
         )

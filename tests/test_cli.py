@@ -665,6 +665,35 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err == "error: seed must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--n", "300", "--density", "0.5"],
+            ["summarize", "--in", "missing.json", "--k", "2"],
+            ["bruteforce", "--in", "missing.json", "--k", "2"],
+            ["perturb", "--in", "missing.json", "--add", "1", "--remove", "1"],
+            ["canonical", "--in", "missing.json"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_an_unsupported_out_fails_before_any_work(self, tmp_path, monkeypatch, capsys, argv):
+        # the --out extension is reported before any input is read and before
+        # a graph is generated, summarized or perturbed
+        from causalsumm import bench, cagres, cli_io
+
+        def never(*args):
+            raise AssertionError("called before the --out check")
+
+        for module, name in [(bench, "gen_random_dag"), (cagres, "summarize"),
+                             (bench, "brute_force_summarize"), (bench, "perturb"),
+                             (cli_io, "load_dag"), (cli_io, "load_summary")]:
+            monkeypatch.setattr(module, name, never)
+        out = tmp_path / "h.txt"
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        assert cli(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: unsupported file extension: {out}\n"
+        assert not out.exists()
+
     def test_parse_errors_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.dot"
         bad.write_text("digraph {\n  A -> B\n}\n")
@@ -843,11 +872,10 @@ def test_a_summary_load_proves_its_base_by_one_order_test(
     tmp_path, monkeypatch, capsys, command
 ):
     # counted: on the commands that answer on the quotient, a valid summary's
-    # base is proven acyclic by one forward pass over base_order; Kahn's pass
-    # (in Dag.__init__) never runs on it, SummaryDag does not test the order
-    # again, and the base's parent and child sets are never built
-    from causalsumm import summary
-
+    # base is proven acyclic by exactly one forward pass over base_order,
+    # made inside Dag._ordered; Kahn's pass (in Dag.__init__) never runs on
+    # it, SummaryDag finds the order already proven, and the base's parent
+    # and child sets are never built
     g = gen_random_dag(GenSpec(60, 0.1, 3))
     order = topological_order(g)
     path = tmp_path / "h.json"
@@ -859,9 +887,9 @@ def test_a_summary_load_proves_its_base_by_one_order_test(
     }.get(command, ["docalc", "--in", path, "--rule", command, "--y", y, "--z", z,
                     "--x", x, "--w", w])
 
-    built, proofs, order_tests, adjacency = [], [], [], []
-    init, ordered, check_order, freeze = (
-        Dag.__init__, Dag._ordered.__func__, summary._check_order, Dag._freeze
+    built, proofs, passes, adjacency, inside = [], [], [], [], []
+    init, ordered, require_order, freeze = (
+        Dag.__init__, Dag._ordered.__func__, Dag._require_order, Dag._freeze
     )
 
     def counting_init(self, nodes, edges=()):
@@ -870,13 +898,18 @@ def test_a_summary_load_proves_its_base_by_one_order_test(
         init(self, nodes, edges)
 
     def counting_ordered(cls, nodes, edges, order):
-        proven = ordered(cls, nodes, edges, order)
+        inside.append(cls)
+        try:
+            proven = ordered(cls, nodes, edges, order)
+        finally:
+            inside.pop()
         proofs.append(proven is not None)
         return proven
 
-    def counting_check_order(*args):
-        order_tests.append(args[2])
-        check_order(*args)
+    def counting_require_order(self, order, name, owner):
+        if order != self._proven_order:  # a real pass, not the recorded order
+            passes.append((len(order), bool(inside)))
+        require_order(self, order, name, owner)
 
     def counting_freeze(self):
         adjacency.append(self.num_nodes)
@@ -884,11 +917,11 @@ def test_a_summary_load_proves_its_base_by_one_order_test(
 
     monkeypatch.setattr(Dag, "__init__", counting_init)
     monkeypatch.setattr(Dag, "_ordered", classmethod(counting_ordered))
-    monkeypatch.setattr(summary, "_check_order", counting_check_order)
+    monkeypatch.setattr(Dag, "_require_order", counting_require_order)
     monkeypatch.setattr(Dag, "_freeze", counting_freeze)
     assert cli([str(a) for a in argv]) in (0, 1)
     assert capsys.readouterr().err == ""
-    assert proofs == [True] and order_tests == []
+    assert proofs == [True] and passes == [(60, True)]
     assert 60 not in built and 60 not in adjacency
     assert built and max(built) == 6  # the quotient and its mutilations
 
@@ -1229,19 +1262,25 @@ class TestLoaderMatchesThePerItemOracle:
 
 
 class TestOrderedBase:
-    """A valid summary's base, built by one forward pass over ``base_order``
-    with its adjacency left for first use, is the graph ``Dag`` builds."""
+    """A valid summary's base, which ``_dag_from_doc(doc, order)`` builds by
+    one forward pass over ``base_order`` with its adjacency left for first
+    use, is the graph ``Dag`` builds."""
 
     @settings(max_examples=150, deadline=None)
     @given(docs=graph_and_summary_docs(), data=st.data())
     def test_equals_the_constructor(self, docs, data):
-        from causalsumm.cli_io import _ordered_base
+        from causalsumm.cli_io import _dag_from_doc
+
+        def kahn(*args):
+            raise AssertionError("a valid base must not reach the constructor")
 
         _, summary = docs
         doc = json.loads(json.dumps(summary))["base"]
-        g = _ordered_base(doc, summary["base_order"])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Dag, "__init__", kahn)
+            g = _dag_from_doc(doc, summary["base_order"])
         expected = Dag(doc["nodes"], map(tuple, doc["edges"]))
-        assert g is not None and g._parents is None  # no adjacency yet
+        assert g._parents is None  # no adjacency yet
         assert g.nodes == expected.nodes and g.edges == expected.edges
         subsets = st.sets(st.sampled_from(g.nodes), max_size=3) if g.nodes else st.just(set())
         s = data.draw(subsets)

@@ -13,6 +13,8 @@ One seeded generator draws about 1,500 ``cli()`` calls in groups:
 - usage and error paths;
 - seeded damaged documents: graph, summary, DOT and CSV files with one
   entry replaced, removed or shuffled, or their text cut or spliced.
+- similarity CSVs that are symmetric only to within 1e-7, with pairs
+  on both sides of ``--tau 0.5``.
 
 ``golden_cli.txt`` holds one line per call: the exit code, short sha256
 digests of stdout, stderr and the ``--out`` file (``-`` when empty or
@@ -302,6 +304,30 @@ def _damaged(rng, work, tag):
                "--tau", 0.5, "--out", work / f"{tag}s{i}.json"]
 
 
+def _near_symmetric(rng, work, tag):
+    """Summaries under similarity CSVs whose straddling pairs read 0.5 on
+    one side of the diagonal and 0.4999999 on the other, at ``--tau 0.5``."""
+    for i in range(8):
+        n = rng.randint(5, 8)
+        graph = work / f"{tag}g{i}.json"
+        yield ["gen", "--n", n, "--density", rng.choice([0.3, 0.5]), "--seed", rng.randrange(100),
+               "--out", graph]
+        labels = json.loads(graph.read_text(encoding="utf-8"))["nodes"]
+        values = [["1.0"] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a):
+                if rng.random() < 0.3:
+                    values[a][b], values[b][a] = rng.sample(["0.5", "0.4999999"], 2)
+                else:
+                    values[a][b] = values[b][a] = rng.choice(["0.2", "0.9", "0.9", "0.9"])
+        rows = [",".join(["", *labels])] + [",".join([v, *row]) for v, row in zip(labels, values)]
+        csv = work / f"{tag}s{i}.csv"
+        csv.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        for seed in (0, 7):
+            yield ["summarize", "--in", graph, "--k", rng.randint(1, n - 1), "--seed", seed,
+                   "--similarity", csv, "--tau", 0.5, "--out", work / f"{tag}h{i}-{seed}.json"]
+
+
 def groups():
     """The corpus as (title, calls) groups; ``calls(rng, work, tag)`` yields
     argv lists and may read what earlier calls of its group wrote."""
@@ -312,6 +338,7 @@ def groups():
         yield f"tricky labels {i}", _tricky
     for i in range(4):
         yield f"damaged documents {i}", _damaged
+    yield "near-symmetric similarities", _near_symmetric
 
 
 def _digest(data):

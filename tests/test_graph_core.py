@@ -123,6 +123,42 @@ class TestStructuralQueries:
         assert all(position[u] < position[v] for u, v in g.edges)
 
 
+class TestAdjacencyIsBuiltOnce:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        g=dags(),
+        ordered=st.booleans(),
+        reads=st.lists(st.sampled_from(["parents", "children", "descendants", "ancestors"]),
+                       min_size=1, max_size=6),
+        data=st.data(),
+    )
+    def test_any_mix_of_reads_freezes_once(self, g, ordered, reads, data):
+        # counted: from either constructor a graph holds no parent or child
+        # sets, and its first read of any kind builds both, once
+        if ordered:
+            h = Dag._ordered(g.nodes, list(g.edges), topological_order(g))
+        else:
+            h = Dag(g.nodes, g.edges)
+        assert h._parents is None and h._children is None
+        expected = {v: (g.parents(v), g.children(v)) for v in g.nodes}
+        frozen, freeze = [], Dag._freeze
+
+        def counting_freeze(self):
+            frozen.append(self)
+            freeze(self)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Dag, "_freeze", counting_freeze)
+            for read in reads:
+                v = data.draw(st.sampled_from(g.nodes))
+                if read in ("parents", "children"):
+                    assert getattr(h, read)(v) == getattr(g, read)(v)
+                else:
+                    assert getattr(h, read)({v}) == getattr(g, read)({v})
+        assert len(frozen) == 1 and frozen[0] is h
+        assert {v: (h.parents(v), h.children(v)) for v in h.nodes} == expected
+
+
 class TestDirectedPathLen2:
     # contracting u and v closes a cycle exactly when a directed path of two
     # or more edges joins them; contract leaves that to the quotient's own
