@@ -70,7 +70,7 @@ class SimilarityMatrix:
         self.values = np.minimum(self.values, self.values.T)
         if not np.allclose(np.diag(self.values), 1.0):
             raise ValidationError("similarity diagonal must be 1")
-        if self.values.min() < 0.0 or self.values.max() > 1.0:
+        if ((self.values < 0.0) | (self.values > 1.0)).any():  # min() refuses zero labels
             raise ValidationError("similarity values must lie in [0, 1]")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValidationError("similarity threshold must lie in [0, 1]")

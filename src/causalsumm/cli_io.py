@@ -26,14 +26,14 @@ from itertools import chain
 import numpy as np
 
 from . import bench, cagres, docalc
-from .graph_core import Dag, GraphError, ValidationError, topological_order
+from .graph_core import Dag, GraphError, ValidationError
 from .separation import SeparationQuery, d_separated, s_separated
 from .summary import (
     SummaryDag,
     canonical_rows,
     ground_ci,
-    recursive_basis,
     summary_recursive_basis,
+    trivial_summary,
 )
 
 FORMAT_VERSION = 1
@@ -491,22 +491,16 @@ def _cmd_canonical(args):
 
 
 def _cmd_rb(args):
+    # a graph is read as its trivial summary, whose singletons keep their labels
     is_json = _format_of(args.in_path) == "json"
     doc = _load_json(args.in_path) if is_json else None
     if isinstance(doc, dict) and "clusters" in doc:
         h = _summary_from_doc(doc)
-        position = {v: i for i, v in enumerate(h.base_order)}
-        statements = [ground_ci(h, s) for s in summary_recursive_basis(h)]
     else:
-        g = _dag_from_doc(doc) if is_json else load_dag(args.in_path)
-        order = topological_order(g)
-        position = {v: i for i, v in enumerate(order)}
-        statements = list(recursive_basis(g, order))
-    for s in statements:
-        x = _fmt_members(s.x, position)
-        y = _fmt_members(s.y, position)
-        z = _fmt_members(s.z, position)
-        print(f"{x} | {y} | {z}")
+        h = trivial_summary(_dag_from_doc(doc) if is_json else load_dag(args.in_path))
+    position = {v: i for i, v in enumerate(h.base_order)}
+    for s in (ground_ci(h, c) for c in summary_recursive_basis(h)):
+        print(" | ".join(_fmt_members(part, position) for part in (s.x, s.y, s.z)))
     return 0
 
 

@@ -140,6 +140,30 @@ def _recover_cycle(edges, indegree):
     return cycle
 
 
+def _kahn(order, edges):
+    """Kahn's procedure over ``order``'s labels, the smallest ready label
+    first: the emitted labels as a tuple, and each label's leftover indegree
+    (above zero for the nodes on or below a cycle). An endpoint outside
+    ``order`` raises ``KeyError``."""
+    children = {v: [] for v in order}
+    indegree = dict.fromkeys(order, 0)
+    for tail, head in edges:
+        children[tail].append(head)
+        indegree[head] += 1
+    ready = [v for v in order if not indegree[v]]
+    heapq.heapify(ready)
+    emitted = []
+    while ready:
+        v = heapq.heappop(ready)
+        emitted.append(v)
+        for child in children[v]:
+            left = indegree[child] - 1
+            indegree[child] = left
+            if not left:
+                heapq.heappush(ready, child)
+    return tuple(emitted), indegree
+
+
 class Dag:
     """A labeled directed acyclic graph, immutable after construction.
 
@@ -154,9 +178,10 @@ class Dag:
         duplicate pairs, endpoints outside ``nodes``, and directed cycles
         all raise.
 
-    The parent and child sets are built from the edge set once, by
-    ``_freeze`` on first read. ``_require_order`` is the one test of a
-    topological order.
+    The constructor's Kahn pass records the order that proves the graph
+    acyclic: ``topological_order``'s. The parent and child sets are built
+    from the edge set once, by ``_freeze`` on first read.
+    ``_require_order`` is the one test of a topological order.
 
     Examples
     --------
@@ -178,33 +203,21 @@ class Dag:
         node_set = frozenset(order)
 
         edges = list(edges)
-        children = {v: [] for v in order}
-        indegree = dict.fromkeys(order, 0)
         try:
             edge_set = set(map(tuple, edges))
-            for tail, head in edge_set:  # an unknown endpoint raises KeyError
-                children[tail].append(head)
-                indegree[head] += 1
+            emitted, indegree = _kahn(order, edge_set)  # an unknown endpoint raises KeyError
         except (TypeError, ValueError, KeyError):  # not a pair of known labels
             edge_set = None
         if edge_set is None or len(edge_set) != len(edges):
             _check_edges(node_set, edges)  # raises, naming the first bad edge
-        # Kahn's procedure: a self-loop or a cycle leaves nodes unemitted
-        ready = [v for v in order if not indegree[v]]
-        for v in ready:
-            for child in children[v]:
-                left = indegree[child] - 1
-                indegree[child] = left
-                if not left:
-                    ready.append(child)
-        if len(ready) != len(order):
+        if len(emitted) != len(order):  # a self-loop or a cycle leaves nodes unemitted
             _check_edges(node_set, edges)  # a self-loop is named before any cycle
             raise CycleError(_recover_cycle(edge_set, indegree))
 
         self._order = order
         self._nodes = node_set
         self._edges = frozenset(edge_set)  # copied from a set: sized to its contents
-        self._parents = self._children = self._proven_order = None
+        self._parents, self._children, self._proven_order = None, None, emitted
 
     @classmethod
     def _ordered(cls, nodes, edges, order):
@@ -376,20 +389,10 @@ def topological_order(g):
 
     Returns a tuple: a permutation of ``g.nodes`` in which every edge goes
     from earlier to later. The tie-break makes the order (and everything
-    derived from it, like canonical DAGs) reproducible across runs.
+    derived from it, like canonical DAGs) reproducible across runs. The
+    constructor records this order, so it passes ``_require_order`` at once.
 
     >>> topological_order(Dag("CBA", [("C", "B"), ("B", "A")]))
     ('C', 'B', 'A')
     """
-    indegree = {v: len(g.parents(v)) for v in g.nodes}
-    ready = [v for v in g.nodes if indegree[v] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for child in sorted(g.children(v)):
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                heapq.heappush(ready, child)
-    return tuple(order)
+    return _kahn(g.nodes, g.edges)[0]

@@ -404,32 +404,29 @@ def recursive_basis(g, order):
     """
     order = tuple(order)
     g._require_order(order, "order", "graph's")
+    return _basis(g, order, BASE)
 
+
+def summary_recursive_basis(h):
+    """The recursive basis of the quotient, built over cluster labels.
+
+    Statements can be grounded to base variables with ``ground_ci``.
+    """
+    return _basis(h.quotient, topological_order(h.quotient), CLUSTER)
+
+
+def _basis(g, order, universe):
+    """The recursive basis of ``g`` along ``order``, a topological order,
+    with its statements in ``universe``."""
     statements = []
     seen = set()
     for v in order:
         z = g.parents(v)
         y = seen - z
         if y:
-            statements.append(
-                CiStatement(x=frozenset({v}), y=frozenset(y), z=z, universe=BASE)
-            )
+            statements.append(CiStatement({v}, y, z, universe))  # frozen by CiStatement
         seen.add(v)
     return RecursiveBasis(tuple(statements))
-
-
-def summary_recursive_basis(h):
-    """The recursive basis of the quotient, stated over cluster labels.
-
-    Statements can be grounded to base variables with ``ground_ci``.
-    """
-    order = topological_order(h.quotient)
-    base = recursive_basis(h.quotient, order)
-    return RecursiveBasis(
-        tuple(
-            CiStatement(x=s.x, y=s.y, z=s.z, universe=CLUSTER) for s in base.statements
-        )
-    )
 
 
 def ground_ci(h, statement):

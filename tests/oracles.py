@@ -6,6 +6,7 @@ library's pruned/incremental algorithms. When a library value and an
 oracle value agree, the agreement is meaningful.
 """
 
+import heapq
 from itertools import combinations, product
 
 import networkx as nx
@@ -456,6 +457,24 @@ def reference_random_summarize(g, k, seed=0):
             )
         h = contract(h, *pairs[int(rng.integers(len(pairs)))])
     return h
+
+
+def reference_topological_order(g):
+    """The lexicographic Kahn order, read from the parent and child sets:
+    the ready nodes sit in a heap, and each node's children are released
+    in sorted order."""
+    indegree = {v: len(g.parents(v)) for v in g.nodes}
+    ready = [v for v in g.nodes if indegree[v] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for child in sorted(g.children(v)):
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                heapq.heappush(ready, child)
+    return tuple(order)
 
 
 def _reference_is_acyclic(nodes, edges):

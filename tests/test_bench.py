@@ -25,6 +25,7 @@ from causalsumm import (
     perturb,
     random_summarize,
     report_row,
+    summarize,
     trivial_summary,
     write_report,
 )
@@ -241,6 +242,42 @@ class TestRandomSummarize:
     def test_infeasible_k(self, g1):
         with pytest.raises(ValidationError):
             random_summarize(g1, k=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_dags(max_nodes=20), st.integers(0, 2**32 - 1))
+    def test_always_reaches_one_cluster(self, g, seed):
+        # with no similarity a valid pair always exists: two clusters next
+        # to each other in a topological order of the quotient are joined
+        # by no path of two or more edges
+        assert random_summarize(g, 1, seed).quotient.num_nodes == 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda g: summarize(g, CagresConfig(k=3)),
+        lambda g: random_summarize(g, 3, seed=1),
+        lambda g: brute_force_summarize(g, 3),
+        trivial_summary,
+    ],
+    ids=["summarize", "random_summarize", "brute_force_summarize", "trivial_summary"],
+)
+def test_a_constructed_graph_is_not_proven_again(monkeypatch, build):
+    # counted: a summary of a constructed graph is built along the order
+    # its Kahn pass recorded, so the summary's order test makes no pass
+    g = gen_random_dag(GenSpec(9, 0.3, 4))
+    checked, passes = [], []
+    require_order = Dag._require_order
+
+    def counting_require_order(self, order, name, owner):
+        checked.append(self)
+        if order != self._proven_order:  # a real pass, not the recorded order
+            passes.append(order)
+        require_order(self, order, name, owner)
+
+    monkeypatch.setattr(Dag, "_require_order", counting_require_order)
+    assert build(g).base is g
+    assert checked == [g] and passes == []
 
 
 class TestImplicationPercentage:

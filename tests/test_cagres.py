@@ -94,6 +94,36 @@ class TestSimilarityMatrix:
         with pytest.raises(ValidationError, match="NaN"):
             SimilarityMatrix(["A", "B"], values, 0.5)
 
+    @pytest.mark.parametrize(
+        "labels, off, threshold, message",
+        [
+            ("AA", 0.5, 0.5, "similarity labels must be unique"),
+            ("ABC", 0.5, 0.5, r"similarity matrix must be 3x3, got \(2, 2\)"),
+            ("AB", -0.5, 0.5, r"similarity values must lie in \[0, 1\]"),
+            ("AB", 1.5, 0.5, r"similarity values must lie in \[0, 1\]"),
+            ("AB", 0.5, 1.5, r"similarity threshold must lie in \[0, 1\]"),
+            ("AB", 0.5, -0.1, r"similarity threshold must lie in \[0, 1\]"),
+        ],
+    )
+    def test_refusals(self, labels, off, threshold, message):
+        values = np.array([[1.0, off], [off, 1.0]])
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            SimilarityMatrix(list(labels), values, threshold)
+
+    def test_sim_of_an_unknown_label(self):
+        sim = SimilarityMatrix(["A", "B"], np.array([[1.0, 0.4], [0.4, 1.0]]), 0.5)
+        assert sim.sim("B", "A") == 0.4
+        with pytest.raises(UnknownNodeError, match="unknown node: 'C'"):
+            sim.sim("A", "C")
+
+    def test_zero_labels_are_a_similarity_that_misses_every_node(self, g1):
+        # every check holds vacuously; like any similarity that misses a
+        # node, it is refused by summarize, naming the first base node
+        sim = SimilarityMatrix([], np.zeros((0, 0)), 0.5)
+        assert sim.labels == () and sim.values.shape == (0, 0)
+        with pytest.raises(UnknownNodeError, match="unknown node: 'A'"):
+            summarize(g1, CagresConfig(k=2, similarity=sim))
+
 
 class TestGetCost:
     def test_worked_examples(self, g1):

@@ -58,6 +58,15 @@ class TestDagFiles:
             save_dag(g, path)
             assert load_dag(path) == g
 
+    def test_the_empty_graph_round_trips_byte_for_byte(self, tmp_path, capsys):
+        text = json.dumps({"version": 1, "nodes": [], "edges": []}, indent=2) + "\n"
+        src, out = tmp_path / "g.json", tmp_path / "out.json"
+        src.write_text(text)
+        save_dag(load_dag(src), out)
+        assert out.read_text() == text
+        assert cli(["rb", "--in", str(src)]) == 0
+        assert capsys.readouterr() == ("", "")
+
     def test_dot_escapes_quotes_and_backslashes(self, tmp_path):
         g = Dag(['a"b', "Z", "c\\"], [('a"b', "Z"), ("c\\", "Z")])
         path = tmp_path / "g.dot"
@@ -168,6 +177,11 @@ class TestDotParsing:
     def test_not_a_digraph(self, tmp_path):
         with pytest.raises(ParseError, match="expected 'digraph'"):
             self.parse("graph { A; }", tmp_path)
+
+    def test_missing_edge_head_is_located(self, tmp_path):
+        with pytest.raises(ParseError) as raised:
+            self.parse("digraph { A -> ; }", tmp_path)
+        assert str(raised.value) == "line 1, column 13: expected a node identifier after '->'"
 
 
 class TestSummaryFiles:
@@ -537,6 +551,15 @@ class TestSimilarityCsv:
         with pytest.raises(ValidationError, match="NaN"):
             load_similarity(path, threshold=0.3)
 
+    def test_a_field_over_the_csv_limit_is_malformed(self, tmp_path):
+        path = self.write(tmp_path, ",A\nA," + "1" * 131073 + "\n")
+        with pytest.raises(ParseError, match=r"^malformed CSV: field larger than field limit"):
+            load_similarity(path, threshold=0.3)
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = self.write(tmp_path, ",A,B\n\nA,1,0.4\n\nB,0.4,1\n\n")
+        assert load_similarity(path, threshold=0.3).values.tolist() == [[1, 0.4], [0.4, 1]]
+
 
 class TestCommands:
     def test_gen_then_summarize(self, tmp_path, capsys):
@@ -867,15 +890,15 @@ def test_dag_builds_are_pinned(fixtures_dir, tmp_path, monkeypatch, capsys, argv
     assert recorded == [(5, 5), (4, 3)] + builds
 
 
-@pytest.mark.parametrize("command", ["ssep", "r1", "r2", "r3", "canonical"])
+@pytest.mark.parametrize("command", ["ssep", "r1", "r2", "r3", "canonical", "rb", "metrics"])
 def test_a_summary_load_proves_its_base_by_one_order_test(
     tmp_path, monkeypatch, capsys, command
 ):
     # counted: on the commands that answer on the quotient, a valid summary's
-    # base is proven acyclic by exactly one forward pass over base_order,
-    # made inside Dag._ordered; Kahn's pass (in Dag.__init__) never runs on
-    # it, SummaryDag finds the order already proven, and the base's parent
-    # and child sets are never built
+    # base is proven acyclic by exactly one forward pass over base_order per
+    # load, made inside Dag._ordered; Kahn's pass (in Dag.__init__) never
+    # runs on it, SummaryDag finds the order already proven, and the base's
+    # parent and child sets are never built
     g = gen_random_dag(GenSpec(60, 0.1, 3))
     order = topological_order(g)
     path = tmp_path / "h.json"
@@ -884,8 +907,11 @@ def test_a_summary_load_proves_its_base_by_one_order_test(
     argv = {
         "ssep": ["query", "--in", path, "--mode", "ssep", "--x", x, "--y", y, "--z", z],
         "canonical": ["canonical", "--in", path, "--out", tmp_path / "c.json"],
+        "rb": ["rb", "--in", path],
+        "metrics": ["metrics", "--a", path, "--b", path],
     }.get(command, ["docalc", "--in", path, "--rule", command, "--y", y, "--z", z,
                     "--x", x, "--w", w])
+    loads = 2 if command == "metrics" else 1
 
     built, proofs, passes, adjacency, inside = [], [], [], [], []
     init, ordered, require_order, freeze = (
@@ -921,7 +947,7 @@ def test_a_summary_load_proves_its_base_by_one_order_test(
     monkeypatch.setattr(Dag, "_freeze", counting_freeze)
     assert cli([str(a) for a in argv]) in (0, 1)
     assert capsys.readouterr().err == ""
-    assert proofs == [True] and passes == [(60, True)]
+    assert proofs == [True] * loads and passes == [(60, True)] * loads
     assert 60 not in built and 60 not in adjacency
     assert built and max(built) == 6  # the quotient and its mutilations
 

@@ -6,14 +6,22 @@ from causalsumm import (
     CycleError,
     Dag,
     DuplicateEdgeError,
+    GenSpec,
     UnknownNodeError,
     ValidationError,
     contract,
+    gen_random_dag,
     topological_order,
     trivial_summary,
 )
 from conftest import dags
-from oracles import has_long_path, naive_contraction_is_cyclic, reference_dag
+from oracles import (
+    has_long_path,
+    naive_contraction_is_cyclic,
+    reference_dag,
+    reference_topological_order,
+)
+from test_cagres import random_dags
 
 # labels Dag refuses (empty, whitespace, reserved, not UTF-8, not text) or
 # that no graph below declares
@@ -121,6 +129,44 @@ class TestStructuralQueries:
         assert set(order) == g.node_set
         position = {v: i for i, v in enumerate(order)}
         assert all(position[u] < position[v] for u, v in g.edges)
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=random_dags(), data=st.data())
+    def test_topological_order_matches_the_reference(self, g, data):
+        # the constructor's Kahn pass is topological_order, whatever order
+        # the nodes come in, and records it; a graph proven by another order
+        # (a loaded summary's base) still gets the same topological_order
+        nodes = data.draw(st.permutations(g.nodes))
+        shuffled = Dag(nodes, list(g.edges))
+        expected = reference_topological_order(g)
+        assert shuffled._proven_order == topological_order(shuffled) == expected
+        indegree = {v: len(g.parents(v)) for v in nodes}
+        ready, order = [v for v in nodes if not indegree[v]], []
+        while ready:  # Kahn's procedure with drawn choices: a random topological order
+            v = ready.pop(data.draw(st.integers(0, len(ready) - 1)))
+            order.append(v)
+            for child in g.children(v):
+                indegree[child] -= 1
+                if not indegree[child]:
+                    ready.append(child)
+        loaded = Dag._ordered(nodes, list(g.edges), order)
+        assert loaded._proven_order == tuple(order)
+        assert topological_order(loaded) == expected
+
+    def test_topological_order_builds_no_adjacency(self, monkeypatch):
+        # counted: topological_order reads the edge set, never the parent
+        # and child sets, on a graph from either constructor
+        g = gen_random_dag(GenSpec(40, 0.2, 1))
+        expected = reference_topological_order(g)
+        fresh = Dag(g.nodes, g.edges)
+        # proven by another order: the reverse of the reversed graph's
+        order = topological_order(Dag(g.nodes, [(v, u) for u, v in g.edges]))[::-1]
+        loaded = Dag._ordered(g.nodes, list(g.edges), order)
+        assert loaded._proven_order == order != expected
+        monkeypatch.setattr(Dag, "_freeze", lambda self: pytest.fail("adjacency built"))
+        for h in (fresh, loaded):
+            assert topological_order(h) == expected
+            assert h._parents is None
 
 
 class TestAdjacencyIsBuiltOnce:
