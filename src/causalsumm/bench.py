@@ -230,7 +230,7 @@ def random_summarize(g, k, seed=0):
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     engine = _Engine(g)
-    while len(engine.alive) > k:
+    while len(engine.order) > k:
         first, second = engine.valid_pairs()
         pick = int(rng.integers(len(first)))
         engine.merge(int(first[pick]), int(second[pick]))

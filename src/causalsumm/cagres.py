@@ -19,7 +19,7 @@ updates each of them in place:
   neighbourhood for re-pricing, the pattern of agglomerative clustering
   (Müllner, arXiv:1109.2378). Re-pricing is one float64 matrix product
   per block of rows, exact because every price is a small integer.
-- The live clusters are kept sorted by label; a merge moves one of them.
+- The live ids are one list sorted by label; a merge drops one, moves one.
 
 Every iteration still scans all valid pairs in label order, as one
 vectorized pass over the label-ordered grid, so the output, tie-break
@@ -28,7 +28,7 @@ reference. The summary is built once, at the end.
 """
 
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,58 +111,56 @@ class _Engine:
     """The working partition of a greedy run over a graph, updated in place
     by each merge.
 
-    Clusters are integer ids, starting as one per node; a merge keeps the
-    first id and retires the second. ``links[x]`` is x's 0/1 row of
-    parents followed by its row of children, so ``adj = links[:, n:]`` is
-    the quotient's adjacency matrix (``adj[x, y]`` is an edge x -> y).
-    ``size`` holds the member counts and ``weight`` the total size of each
-    cluster's neighbours; all three are float64, so pricing runs as a BLAS
-    product. Bit y of a bitset stands for cluster y: ``kids[x]`` holds x's
-    children and ``reach[x]`` holds x and every cluster x reaches, filled
-    first by one pass over the reversed ``base_order`` (children before
-    parents). ``far`` is the boolean matrix of pairs joined by a path of at
-    least two edges and ``clash`` the one of pairs with a member pair below
-    the similarity threshold (None without a similarity). ``memo`` holds
-    merge prices; the rows of ``stale`` clusters are due for re-pricing.
-    ``order`` holds the live ids sorted by label; a retired id leaves it,
-    so no scan reads its rows or columns again. ``summary()`` builds the
-    result.
+    Clusters are integer ids, starting as each node's ``base_order``
+    position; a merge keeps the first id and retires the second.
+    ``links[x]`` is x's 0/1 row of parents followed by its row of children,
+    so ``adj = links[:, n:]`` is the quotient's adjacency matrix
+    (``adj[x, y]`` is an edge x -> y). ``size`` holds the member counts and
+    ``weight`` the total size of each cluster's neighbours; all three are
+    float64, so pricing runs as a BLAS product. Bit y of a bitset stands
+    for cluster y: ``kids[x]`` holds x's children and ``reach[x]`` holds x
+    and every cluster x reaches, filled first by one pass over the ids in
+    reverse (children before parents). ``far`` is the boolean matrix of
+    pairs joined by a path of at least two edges and ``clash`` the one of
+    pairs with a member pair below the similarity threshold (None without
+    a similarity). ``memo`` holds merge prices; the rows of ``stale``
+    clusters are due for re-pricing. ``order``, the live ids sorted by
+    label, is the one record of which clusters are live, so no scan reads
+    a retired id's rows or columns again. ``summary()`` builds the result.
     """
 
     def __init__(self, g, similarity=None):
         self.base, self.base_order = g, topological_order(g)
         self.position = {v: i for i, v in enumerate(self.base_order)}
-        self.labels = list(g.nodes)
-        self.ids = {label: i for i, label in enumerate(self.labels)}
+        self.labels = list(self.base_order)
         n = len(self.labels)
         self.members = [[v] for v in self.labels]
         self.size = np.ones(n)
-        children = [[self.ids[c] for c in g.children(v)] for v in self.labels]
+        children = [[self.position[c] for c in g.children(v)] for v in self.labels]
         tails = [x for x, heads in enumerate(children) for _ in heads]
         heads = [w for ws in children for w in ws]
         self.links = np.zeros((n, 2 * n))
         self.links[heads, tails] = self.links[tails, [n + w for w in heads]] = 1
         self.adj = self.links[:, n:]
         self.weight = self.links.sum(axis=1)  # every neighbour has size 1
-        self.alive = list(range(n))
         self.kids = [sum(1 << w for w in ws) for ws in children]
         self.reach = [0] * n
-        for x in map(self.ids.__getitem__, reversed(self.base_order)):  # children first
+        for x in reversed(range(n)):  # children first
             row = 1 << x
             for w in children[x]:
                 row |= self.reach[w]
             self.reach[x] = row
-        self.far = self._bits([self._far_row(x) for x in self.alive])
+        self.far = self._bits([self._far_row(x) for x in range(n)])
         self.clash = None
         if similarity is not None:
             index = _similarity_index(similarity, self.base_order)
             rows = [index[v] for v in self.labels]
             self.clash = similarity.values[np.ix_(rows, rows)] < similarity.threshold
         self.memo = np.zeros((n, n))
-        self.stale = set(self.alive)
+        self.stale = set(range(n))
         self.plain = True  # every label is its one member
         self.lower = np.tri(n, dtype=bool)
-        self.order = sorted(self.alive, key=self.labels.__getitem__)
+        self.order = sorted(range(n), key=self.labels.__getitem__)
 
     def _far_row(self, x):
         """The clusters ``x`` reaches by a path of at least two edges, as a bitset."""
@@ -220,7 +218,7 @@ class _Engine:
         if self.clash is not None:
             self.clash[a] |= self.clash[b]
             self.clash[:, a] = self.clash[a]
-        self.alive.remove(b)
+        del self.order[bisect_left(self.order, self.labels[b], key=self.labels.__getitem__)]
 
         either, not_b = 1 << a | 1 << b, ~(1 << b)
         for x in near:
@@ -228,43 +226,38 @@ class _Engine:
                 self.kids[x] = self.kids[x] & not_b | 1 << a
         self.kids[a] = (self.kids[a] | self.kids[b]) & ~either
         row = (self.reach[a] | self.reach[b]) & not_b
-        ancestors = [x for x in self.alive if self.reach[x] & either]
+        ancestors = [x for x in self.order if self.reach[x] & either]
         for x in ancestors:
             self.reach[x] = (self.reach[x] | row) & not_b
         self.far[ancestors] = self._bits([self._far_row(x) for x in ancestors])
-        self._relabel(a, b)
+        self._relabel(a)
 
-    def _plain(self, ids):
-        return all(self.labels[x] == "".join(self.members[x]) for x in ids)
-
-    def _relabel(self, a, b):
-        """Label the live clusters as ``cluster_labels`` would, after ``b``
-        merged into ``a``, and keep ``order`` sorted by label.
+    def _relabel(self, a):
+        """Label the live clusters as ``cluster_labels`` would, after a
+        merge into ``a``, and keep ``order`` sorted by label.
 
         While every label is its members' concatenation (no ``#n`` suffix
         is in use) and the merged concatenation is not another live label,
         all concatenations stay distinct, so only ``a``'s label changes
-        and only ``a`` moves in ``order``. Otherwise every label is
-        recomputed: a collision can add a suffix here, or lift one
-        elsewhere. Testing the labels themselves rather than looking for
-        ``#`` keeps node labels that contain ``#`` on the short path.
+        and only ``a`` moves in ``order``: one bisection for the new label
+        both finds a collision and gives the insert point. Otherwise every
+        label is recomputed: a collision can add a suffix here, or lift
+        one elsewhere. Testing the labels themselves rather than looking
+        for ``#`` keeps node labels that contain ``#`` on the short path.
         """
-        key = self.labels.__getitem__
-        for x in (a, b):
-            del self.order[bisect_left(self.order, key(x), key=key)]
-        del self.ids[self.labels[a]], self.ids[self.labels[b]]
+        order, key = self.order, self.labels.__getitem__
+        del order[bisect_left(order, key(a), key=key)]
         label = "".join(self.members[a])
-        if self.plain and label not in self.ids:
+        i = bisect_left(order, label, key=key)
+        if self.plain and (i == len(order) or key(order[i]) != label):
             self.labels[a] = label
-            self.ids[label] = a
-            insort(self.order, a, key=key)
+            order.insert(i, a)
             return
-        live = sorted(self.alive, key=lambda x: self.position[self.members[x][0]])
+        live = sorted(order + [a], key=lambda x: self.position[self.members[x][0]])
         for x, label in zip(live, cluster_labels(self.members[x] for x in live)):
             self.labels[x] = label
-        self.ids = {self.labels[x]: x for x in live}
-        self.plain = self._plain(live)
-        self.order = sorted(self.alive, key=key)
+        self.plain = all(self.labels[x] == "".join(self.members[x]) for x in live)
+        self.order = sorted(live, key=key)
 
     def _bits(self, rows):
         """Bitsets unpacked into a boolean matrix, one column per id."""
@@ -319,12 +312,9 @@ class _Engine:
         first, second = divmod(best, len(ids))
         return int(ids[first]), int(ids[second])
 
-    def stuck(self, k):
-        return StuckError(f"no valid pair left at {len(self.alive)} clusters (target k={k})")
-
     def summary(self):
         """The summary of the current partition."""
-        block_of = {v: x for x in self.alive for v in self.members[x]}
+        block_of = {v: x for x in self.order for v in self.members[x]}
         tails, heads = np.nonzero(self.adj)
         return SummaryDag.from_partition(
             self.base, self.base_order, block_of, zip(tails.tolist(), heads.tolist())
@@ -454,9 +444,11 @@ def summarize(g, cfg):
         )
     rng = random.Random(cfg.seed)
     engine = _Engine(g, cfg.similarity)
-    while len(engine.alive) > cfg.k:
+    while len(engine.order) > cfg.k:
         pair = engine.cheapest_pair(rng)
         if pair is None:
-            raise engine.stuck(cfg.k)
+            raise StuckError(
+                f"no valid pair left at {len(engine.order)} clusters (target k={cfg.k})"
+            )
         engine.merge(*pair)
     return engine.summary()

@@ -23,8 +23,6 @@ import stat
 import sys
 from itertools import chain
 
-import numpy as np
-
 from . import bench, cagres, docalc
 from .graph_core import Dag, GraphError, ValidationError
 from .separation import SeparationQuery, d_separated, s_separated
@@ -430,7 +428,7 @@ def load_similarity(path, threshold):
     index = {label: i for i, label in enumerate(labels)}
     _require(len(index) == len(labels), "duplicate labels in similarity header")
     n = len(labels)
-    values = np.zeros((n, n))
+    values = [[0.0] * n for _ in range(n)]
     filled = set()
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
@@ -445,7 +443,7 @@ def load_similarity(path, threshold):
         filled.add(label)
         for col, cell in enumerate(row[1:]):
             try:
-                values[index[label], col] = float(cell)
+                values[index[label]][col] = float(cell)
             except ValueError:
                 raise ParseError(
                     f"not a number: {cell!r}", line=lineno, column=col + 2
@@ -459,10 +457,6 @@ def load_similarity(path, threshold):
 
 def _parse_labels(text):
     return frozenset(text.split(",")) if text else frozenset()
-
-
-def _fmt_members(members, position):
-    return ",".join(sorted(members, key=position.get))
 
 
 def _cmd_gen(args):
@@ -498,9 +492,9 @@ def _cmd_rb(args):
         h = _summary_from_doc(doc)
     else:
         h = trivial_summary(_dag_from_doc(doc) if is_json else load_dag(args.in_path))
-    position = {v: i for i, v in enumerate(h.base_order)}
+    position = {v: i for i, v in enumerate(h.base_order)}.get
     for s in (ground_ci(h, c) for c in summary_recursive_basis(h)):
-        print(" | ".join(_fmt_members(part, position) for part in (s.x, s.y, s.z)))
+        print(" | ".join(",".join(sorted(part, key=position)) for part in (s.x, s.y, s.z)))
     return 0
 
 

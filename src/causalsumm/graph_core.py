@@ -6,7 +6,6 @@ so downstream algorithms never re-validate. Graphs are values: every
 "mutation" elsewhere in the package returns a new graph.
 """
 
-from collections import deque
 import heapq
 
 #: characters reserved by the file formats (field separators)
@@ -208,10 +207,9 @@ class Dag:
             emitted, indegree = _kahn(order, edge_set)  # an unknown endpoint raises KeyError
         except (TypeError, ValueError, KeyError):  # not a pair of known labels
             edge_set = None
-        if edge_set is None or len(edge_set) != len(edges):
-            _check_edges(node_set, edges)  # raises, naming the first bad edge
-        if len(emitted) != len(order):  # a self-loop or a cycle leaves nodes unemitted
-            _check_edges(node_set, edges)  # a self-loop is named before any cycle
+        # a repeated edge shrinks the set; a self-loop or a cycle leaves nodes unemitted
+        if edge_set is None or len(edge_set) != len(edges) or len(emitted) != len(order):
+            _check_edges(node_set, edges)  # names the first bad edge, before any cycle
             raise CycleError(_recover_cycle(edge_set, indegree))
 
         self._order = order
@@ -347,41 +345,34 @@ class Dag:
 
         The reflexive convention (v is its own descendant) matters for
         collider activation in d-separation, where "has a descendant in Z"
-        must cover the collider itself being in Z.
+        must cover the collider itself being in Z. The result is ``s`` plus one
+        walk over children, the loop ``ancestors`` runs over parents.
         """
         s = self.require(s)
-        if self._parents is None:
-            self._freeze()
-        result = set(s)
-        frontier = deque(s)
-        while frontier:
-            v = frontier.popleft()
-            for child in self._children[v]:
-                if child not in result:
-                    result.add(child)
-                    frontier.append(child)
-        return frozenset(result)
+        return self._walk(s, set(s), down=True)
 
     def ancestors(self, s):
         """All nodes with a directed path into some member of ``s``.
 
         Deliberately irreflexive: a member of ``s`` appears in the result
         only if it is an ancestor of another member. (Rule R3's
-        Z \\ ancestors(W) must not erase Z trivially.)
+        Z \\ ancestors(W) must not erase Z trivially.) One walk over parents.
         """
-        s = self.require(s)
+        return self._walk(self.require(s), set(), down=False)
+
+    def _walk(self, seeds, found, down):
+        """``found`` plus every node one or more edges from ``seeds``, walked
+        tail to head when ``down`` and head to tail otherwise, frozen."""
         if self._parents is None:
             self._freeze()
-        result = set()
-        frontier = deque()
-        for v in s:
-            frontier.extend(self._parents[v])
+        step = self._children if down else self._parents
+        frontier = list(seeds)
         while frontier:
-            v = frontier.popleft()
-            if v not in result:
-                result.add(v)
-                frontier.extend(self._parents[v])
-        return frozenset(result)
+            for w in step[frontier.pop()]:
+                if w not in found:
+                    found.add(w)
+                    frontier.append(w)
+        return frozenset(found)
 
 
 def topological_order(g):

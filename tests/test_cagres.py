@@ -27,6 +27,7 @@ from causalsumm import (
     topological_order,
     trivial_summary,
 )
+from causalsumm import cagres
 from causalsumm.cagres import _Engine
 from causalsumm.summary import cluster_labels
 from conftest import dags
@@ -260,7 +261,7 @@ class TestEngine:
         engine = _Engine(g1)
         engine.prices()
         assert not engine.stale
-        a, b, c, d = (engine.ids[v] for v in "ABCD")
+        a, b, c, d = (engine.position[v] for v in "ABCD")
         engine.merge(b, c)
         # the merged cluster and its neighbours A and D are re-priced
         assert engine.stale == {a, b, d}
@@ -270,7 +271,7 @@ class TestEngine:
 
     def test_memo_entries_outside_the_neighbourhood_survive(self):
         engine = _Engine(Dag("ABCXY", [("A", "B"), ("X", "Y")]))
-        a, b, c, x, y = (engine.ids[v] for v in "ABCXY")
+        a, b, c, x, y = (engine.position[v] for v in "ABCXY")
         engine.prices()
         engine.merge(a, b)
         assert engine.stale == {a}
@@ -279,7 +280,7 @@ class TestEngine:
     def test_reachability_is_ored_into_ancestors(self):
         g = Dag("ABCDE", [("A", "B"), ("C", "D"), ("D", "E")])
         engine = _Engine(g)
-        a, b, c, d, e = (engine.ids[v] for v in "ABCDE")
+        a, b, c, d, e = (engine.position[v] for v in "ABCDE")
 
         def acyclic(x, y):  # no path of two or more edges either way
             return not (engine.far[x, y] or engine.far[y, x])
@@ -299,10 +300,16 @@ class TestEngine:
                 break
             pick = rng.randrange(len(first))
             engine.merge(int(first[pick]), int(second[pick]))
-            live = sorted(engine.alive, key=lambda x: engine.position[engine.members[x][0]])
+            live = sorted(engine.order, key=lambda x: engine.position[engine.members[x][0]])
             labels = [engine.labels[x] for x in live]
             assert labels == cluster_labels(engine.members[x] for x in live)
-            assert engine.ids == dict(zip(labels, live))
+            assert {engine.labels[x]: x for x in engine.order} == dict(zip(labels, live))
+            in_order = [engine.labels[x] for x in engine.order]
+            assert in_order == sorted(in_order)
+            # a retired id keeps its old members, a strict part of a live cluster
+            clusters = set(engine.summary().ordered_clusters.values())
+            built_from = {x for x, vs in enumerate(engine.members) if tuple(vs) in clusters}
+            assert set(engine.order) == built_from
 
     @settings(max_examples=60, deadline=None)
     @given(random_dags(max_nodes=16), st.randoms(use_true_random=False))
@@ -313,9 +320,10 @@ class TestEngine:
         engine = _Engine(g)
         while True:
             q = engine.summary().quotient
-            for x in engine.alive:
+            ids = {engine.labels[x]: x for x in engine.order}
+            for x in engine.order:
                 reached = q.descendants({engine.labels[x]})
-                assert engine.reach[x] == sum(1 << engine.ids[c] for c in reached)
+                assert engine.reach[x] == sum(1 << ids[c] for c in reached)
             first, second = engine.valid_pairs()
             if not len(first):
                 break
@@ -638,7 +646,7 @@ COUNT_PINS = {
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_engine_work_is_counted(seed):
     g = _workload_graph(300, 2, seed)
-    counts = {"merges": 0, "rows priced": 0, "coin draws": 0}
+    counts = {"merges": 0, "rows priced": 0, "coin draws": 0, "slow relabels": 0}
     merge, price = _Engine.merge, _Engine._price
 
     def counted_merge(engine, a, b):
@@ -654,10 +662,19 @@ def test_engine_work_is_counted(seed):
             counts["coin draws"] += 1
             return super().random()
 
+    # patching the cagres binding counts the engine's slow relabels only,
+    # not from_partition's own call
+    def counted_labels(blocks):
+        counts["slow relabels"] += 1
+        return cluster_labels(blocks)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Engine, "merge", counted_merge)
         mp.setattr(_Engine, "_price", counted_price)
         mp.setattr(random, "Random", Counted)
+        mp.setattr(cagres, "cluster_labels", counted_labels)
         summarize(g, CagresConfig(k=60, seed=seed))
     for name, pinned in COUNT_PINS[seed].items():
         assert counts[name] <= 1.25 * pinned, name
+    # zero-padded labels never collide, so every merge relabels on the short path
+    assert counts["slow relabels"] == 0

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from causalsumm import (
     Dag,
+    DuplicateEdgeError,
     GenSpec,
     GraphError,
     ValidationError,
@@ -1128,6 +1129,16 @@ class TestLoaderFuzz:
         with pytest.raises(ParseError) as error:
             load(path)
         assert str(error.value) == f"edge must be a [tail, head] pair of labels: {pair}"
+
+    def test_a_repeated_base_edge_is_named(self, tmp_path):
+        # the recorded order proves no graph with a repeated edge; the
+        # constructor then names the edge
+        doc = _h1_doc()
+        doc["base"]["edges"].append(["A", "B"])
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DuplicateEdgeError, match="^duplicate edge: A -> B$"):
+            load_summary(path)
 
     @pytest.mark.parametrize("field", ["clusters", "base_order"])
     def test_unhashable_summary_members_are_parse_errors(self, tmp_path, capsys, field):

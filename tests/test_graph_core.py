@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from oracles import (
     naive_contraction_is_cyclic,
     reference_dag,
     reference_topological_order,
+    to_nx,
 )
 from test_cagres import random_dags
 
@@ -59,6 +61,8 @@ class TestDagConstruction:
             Dag("ABC", [("A", "B"), ("B", "C"), ("C", "A")])
         cycle = exc.value.cycle
         assert cycle[0] == cycle[-1] and set(cycle) == {"A", "B", "C"}
+        # with no cycle recovered the message names none
+        assert str(CycleError()) == "directed cycle" and CycleError().cycle == []
 
     @pytest.mark.parametrize("label", ["", "a b", "a,b", "a;b", "a|b", 3, "\ud800"])
     def test_bad_labels_rejected(self, label):
@@ -96,6 +100,12 @@ class TestDagConstruction:
     def test_equality_ignores_node_order(self):
         assert Dag("AB", [("A", "B")]) == Dag("BA", [("A", "B")])
         assert Dag("AB") != Dag("AB", [("A", "B")])
+        # a graph loaded on a recorded order is the same value, and hashes so
+        loaded = Dag._ordered("BA", [("A", "B")], "AB")
+        assert loaded == Dag("AB", [("A", "B")])
+        assert hash(loaded) == hash(Dag("AB", [("A", "B")]))
+        assert (Dag("A") == "A") is False
+        assert "A" in loaded and "Z" not in loaded
 
 
 class TestStructuralQueries:
@@ -118,6 +128,22 @@ class TestStructuralQueries:
     def test_ancestors_exclude_the_seed(self, g1):
         assert g1.ancestors({"D"}) == {"A", "B", "C"}
         assert g1.ancestors({"A"}) == set()
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=random_dags(), data=st.data())
+    def test_reachability_matches_networkx(self, g, data):
+        # descendants keeps every seed; ancestors keeps a seed only when it
+        # is an ancestor of another seed, which a drawn edge's two ends are
+        seeds = data.draw(st.sets(st.sampled_from(g.nodes)))
+        edge = data.draw(st.sampled_from([None, *sorted(g.edges)]))
+        seeds |= set(edge or ())
+        graph = to_nx(g)
+        below = seeds.union(*(nx.descendants(graph, v) for v in seeds))
+        above = set().union(*(nx.ancestors(graph, v) for v in seeds))
+        assert g.descendants(seeds) == below
+        assert g.ancestors(seeds) == above
+        if edge is not None:
+            assert edge[0] in g.ancestors(seeds)
 
     def test_topological_order_is_lexicographic_kahn(self):
         g = Dag("ZYX", [("Z", "X")])

@@ -44,6 +44,8 @@ class TestContract:
         assert h.quotient.node_set == {"A", "BC", "D", "E"}
         assert h.quotient.edges == {("A", "BC"), ("BC", "D"), ("D", "E")}
         assert h == h1
+        assert hash(h) == hash(h1)
+        assert (h1 == object()) is False
 
     def test_direct_edge_pair_is_legal(self, g1):
         h = contract(trivial_summary(g1), "D", "E")
@@ -234,9 +236,11 @@ class TestRecursiveBasis:
 
     def test_chain(self):
         g = Dag("ABC", [("A", "B"), ("B", "C")])
-        assert stmt_sets(recursive_basis(g, ("A", "B", "C"))) == [
-            ({"C"}, {"A"}, {"B"})
-        ]
+        rb = recursive_basis(g, ("A", "B", "C"))
+        assert stmt_sets(rb) == [({"C"}, {"A"}, {"B"})]
+        assert len(rb) == 1
+        # a statement over base variables grounds to itself
+        assert ground_ci(trivial_summary(g), rb.statements[0]) is rb.statements[0]
 
     def test_invalid_order_rejected(self, g1):
         # every edge goes backwards; the smallest is named
@@ -270,6 +274,8 @@ class TestRecursiveBasis:
             CiStatement(x=set(), y={"A"}, z=set())
         with pytest.raises(ValidationError):
             CiStatement(x={"A"}, y={"A"}, z=set())
+        with pytest.raises(ValidationError, match="^unknown universe: 'other'$"):
+            CiStatement(x={"A"}, y={"B"}, z=set(), universe="other")
 
 
 class TestMutilation:
@@ -339,6 +345,11 @@ class TestSummaryDagInvariants:
 
         with pytest.raises(ValidationError, match="surjective"):
             SummaryDag(g1, quotient, dict.fromkeys("ABCDE", "ABC"), tuple("ABCDE"))
+
+    def test_an_unknown_label_is_named(self, h1):
+        for lookup in (h1.members, h1.cluster_of):
+            with pytest.raises(UnknownNodeError, match="^unknown node: 'Z'$"):
+                lookup("Z")
 
     def test_edge_preservation_enforced(self, g1):
         from causalsumm import SummaryDag
