@@ -662,6 +662,9 @@ def cli(argv=None):
     except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a valid input too large for this machine
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 1
 
 
 def main():

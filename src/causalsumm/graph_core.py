@@ -106,10 +106,15 @@ def _check_labels(labels):
 
 
 def _check_edges(nodes, edges):
-    """Raise at the first edge with an endpoint outside ``nodes``, a
-    self-loop, or an earlier copy."""
+    """Raise at the first edge that is not a (tail, head) pair of hashable
+    values, has an endpoint outside ``nodes``, is a self-loop, or repeats."""
     seen = set()
-    for tail, head in edges:
+    for edge in edges:
+        try:  # a tuple or list of two hashable values
+            tail, head = edge if isinstance(edge, (tuple, list)) else ()
+            hash((tail, head))
+        except (TypeError, ValueError):
+            raise ValidationError(f"edges must be (tail, head) pairs, got {edge!r}") from None
         if tail not in nodes:
             raise UnknownNodeError(tail)
         if head not in nodes:
@@ -173,9 +178,9 @@ class Dag:
         order) and labels must be unique, non-empty, encodable as UTF-8,
         and free of whitespace and the characters ``,;|``.
     edges:
-        Iterable of (tail, head) pairs over ``nodes``. Self-loops,
-        duplicate pairs, endpoints outside ``nodes``, and directed cycles
-        all raise.
+        Iterable of (tail, head) pairs over ``nodes``, each a tuple or list.
+        Any other edge (text, a set, ...), self-loops, duplicate pairs,
+        endpoints outside ``nodes``, and directed cycles all raise.
 
     The constructor's Kahn pass records the order that proves the graph
     acyclic: ``topological_order``'s. The parent and child sets are built
@@ -203,7 +208,10 @@ class Dag:
 
         edges = list(edges)
         try:
-            edge_set = set(map(tuple, edges))
+            kinds = {*map(type, edges)}  # one pass; a subclass needs isinstance, a list a copy
+            if not kinds <= {tuple, list} and not all(isinstance(e, (tuple, list)) for e in edges):
+                raise TypeError("edges must be tuples or lists")
+            edge_set = set(edges if kinds <= {tuple} else map(tuple, edges))
             emitted, indegree = _kahn(order, edge_set)  # an unknown endpoint raises KeyError
         except (TypeError, ValueError, KeyError):  # not a pair of known labels
             edge_set = None

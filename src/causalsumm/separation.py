@@ -1,5 +1,7 @@
 """d-separation over DAGs and s-separation over summary DAGs.
 
+``SeparationQuery`` is the triple (x; y | z). A recursive-basis statement,
+``summary.CiStatement``, is one, so it goes to the deciders as it is.
 ``d_separated`` is the workhorse (linear-time reachability over edge
 orientations); the tests cross-check it against a trail-enumeration
 oracle of the textbook definition (``tests/oracles.py``). ``s_separated``

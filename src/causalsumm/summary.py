@@ -23,6 +23,7 @@ from .graph_core import (
     ValidationError,
     topological_order,
 )
+from .separation import SeparationQuery
 
 #: Universe tags for CI statements: over base variables or cluster labels.
 BASE = "base"
@@ -30,26 +31,18 @@ CLUSTER = "cluster"
 
 
 @dataclass(frozen=True)
-class CiStatement:
-    """A conditional-independence statement (x ⊥ y | z).
+class CiStatement(SeparationQuery):
+    """A conditional-independence statement (x ⊥ y | z): a separation query.
 
     ``universe`` records whether the member names are base variables or
-    cluster labels, so callers never mix the two by accident.
+    cluster labels, so callers never mix the two by accident; a statement
+    goes as it is to ``d_separated`` (base) or ``s_separated`` (cluster).
     """
 
-    x: frozenset
-    y: frozenset
-    z: frozenset
     universe: str = BASE
 
     def __post_init__(self):
-        object.__setattr__(self, "x", frozenset(self.x))
-        object.__setattr__(self, "y", frozenset(self.y))
-        object.__setattr__(self, "z", frozenset(self.z))
-        if not self.x or not self.y:
-            raise ValidationError("CI statement needs non-empty x and y")
-        if self.x & self.y or self.x & self.z or self.y & self.z:
-            raise ValidationError("CI statement sets must be pairwise disjoint")
+        super().__post_init__()
         if self.universe not in (BASE, CLUSTER):
             raise ValidationError(f"unknown universe: {self.universe!r}")
 
@@ -162,27 +155,18 @@ class SummaryDag:
     def cluster_size(self, label):
         return len(self.members(label))
 
+    def _key(self):
+        """The fields that make a summary's identity, for ``==`` and ``hash``."""
+        mapping = frozenset(self.mapping.items())
+        return self.base, self.quotient, mapping, self.base_order, self.mutilated
+
     def __eq__(self, other):
         if not isinstance(other, SummaryDag):
             return NotImplemented
-        return (
-            self.base == other.base
-            and self.quotient == other.quotient
-            and self.mapping == other.mapping
-            and self.base_order == other.base_order
-            and self.mutilated == other.mutilated
-        )
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash(
-            (
-                self.base,
-                self.quotient,
-                frozenset(self.mapping.items()),
-                self.base_order,
-                self.mutilated,
-            )
-        )
+        return hash(self._key())
 
     def __repr__(self):
         parts = ",".join(sorted(self.quotient.nodes))
@@ -432,23 +416,16 @@ def _basis(g, order, universe):
 def ground_ci(h, statement):
     """Replace cluster labels by their member sets (f⁻¹), set-wise.
 
-    Statements already over base variables pass through unchanged.
+    Statements already over base variables pass through unchanged; either
+    way the result goes as it is to ``d_separated(canonical(h), ...)``.
     """
     if statement.universe == BASE:
         return statement
 
     def expand(labels):
-        grounded = set()
-        for label in labels:
-            grounded |= h.members(label)
-        return frozenset(grounded)
+        return frozenset().union(*map(h.members, labels))
 
-    return CiStatement(
-        x=expand(statement.x),
-        y=expand(statement.y),
-        z=expand(statement.z),
-        universe=BASE,
-    )
+    return CiStatement(expand(statement.x), expand(statement.y), expand(statement.z))
 
 
 def mutilate(g, bar_x, under_z):

@@ -293,7 +293,7 @@ def reference_implication_percentage(a, b):
     """RB implication by grounding: each statement of b's recursive basis,
     grounded to base variables, d-separated in the materialised
     ``canonical(a)``."""
-    from causalsumm import SeparationQuery, ValidationError, canonical, d_separated
+    from causalsumm import ValidationError, canonical, d_separated
     from causalsumm.summary import ground_ci, summary_recursive_basis
 
     if a.base != b.base:
@@ -302,9 +302,7 @@ def reference_implication_percentage(a, b):
     if not statements:
         return 100.0
     canon = canonical(a)
-    implied = sum(
-        d_separated(canon, SeparationQuery(x=s.x, y=s.y, z=s.z)) for s in statements
-    )
+    implied = sum(d_separated(canon, s) for s in statements)
     return 100.0 * implied / len(statements)
 
 
@@ -613,7 +611,16 @@ def reference_dag(nodes, edges=()):
     parents = {v: set() for v in order}
     children = {v: set() for v in order}
     edge_set = set()
-    for tail, head in edges:
+    for edge in edges:
+        shaped = isinstance(edge, (tuple, list)) and len(edge) == 2
+        if shaped:
+            try:
+                hash(tuple(edge))
+            except TypeError:  # an unhashable end
+                shaped = False
+        if not shaped:
+            raise ValidationError(f"edges must be (tail, head) pairs, got {edge!r}")
+        tail, head = edge
         if tail not in self._nodes:
             raise UnknownNodeError(tail)
         if head not in self._nodes:

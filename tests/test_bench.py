@@ -32,7 +32,7 @@ from causalsumm import (
 import oracles
 from causalsumm import bench, summary
 from causalsumm.graph_core import topological_order
-from causalsumm.separation import SeparationQuery, d_separated
+from causalsumm.separation import d_separated
 from causalsumm.summary import ground_ci, summary_recursive_basis
 from conftest import dags
 from oracles import (
@@ -304,7 +304,7 @@ class TestImplicationPercentage:
         b = trivial_summary(g) if rng.random() < 0.5 else _random_summary(g, rng)
         statements = [ground_ci(b, s) for s in summary_recursive_basis(b)]
         canon = canonical(a)
-        implied = [s for s in statements if d_separated(canon, SeparationQuery(s.x, s.y, s.z))]
+        implied = [s for s in statements if d_separated(canon, s)]
         expected = 100.0 * len(implied) / len(statements) if statements else 100.0
         assert implication_percentage(a, b) == expected
         for _, edges in compatible_dags(a):

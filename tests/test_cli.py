@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import errno
 import io
 import json
 import os
@@ -478,6 +479,30 @@ class TestRewriteInPlace:
         _write_graph(whole, ["A", "B"], lambda name: [(name("A"), [name("B")])])
         assert whole.read_bytes().startswith(out.read_bytes()) and b"x" not in out.read_bytes()
 
+    def test_a_failed_wrap_closes_the_descriptor(self, tmp_path, g1, monkeypatch):
+        # when the descriptor cannot be wrapped in a text file, it is closed
+        # and the error propagates
+        from causalsumm import cli_io
+
+        opened = []
+        real_open = cli_io.os.open
+
+        def recording_open(*args, **kwargs):
+            opened.append(real_open(*args, **kwargs))
+            return opened[-1]
+
+        def failing_wrap(*args, **kwargs):
+            raise OSError("cannot wrap")
+
+        monkeypatch.setattr(cli_io.os, "open", recording_open)
+        monkeypatch.setattr(cli_io.io, "open", failing_wrap)
+        with pytest.raises(OSError, match="^cannot wrap$"):
+            save_dag(g1, tmp_path / "g.json")
+        assert len(opened) == 1
+        with pytest.raises(OSError) as closed:
+            os.fstat(opened[0])
+        assert closed.value.errno == errno.EBADF
+
     @pytest.mark.parametrize("where", ["directory", "missing parent"])
     def test_unwritable_out_errors_as_open_does(self, fixtures_dir, tmp_path, capsys, where):
         for suffix in (".json", ".dot"):
@@ -717,6 +742,21 @@ class TestCliErrors:
         assert cli(argv + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: unsupported file extension: {out}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 5.96 GiB", ""])
+    def test_out_of_memory_is_one_line(self, fixtures_dir, monkeypatch, capsys, message):
+        # a MemoryError inside a handler, raised without allocating anything
+        from causalsumm import cli_io
+
+        def exhausted(path):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli_io, "load_dag", exhausted)
+        g1 = str(fixtures_dir / "g1.json")
+        assert cli(["query", "--in", g1, "--mode", "dsep", "--x", "A", "--y", "E"]) == 1
+        captured = capsys.readouterr()
+        expected = f"error: out of memory: {message}\n" if message else "error: out of memory\n"
+        assert captured.err == expected and captured.out == ""
 
     def test_parse_errors_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.dot"

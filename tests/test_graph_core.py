@@ -35,6 +35,19 @@ class StrLabel(str):
     """A label of a str subclass, which the per-label check accepts."""
 
 
+class Pair(tuple):
+    """An edge of a tuple subclass, which the constructor accepts."""
+
+
+# edges Dag refuses by their shape: a non-iterable, text, a set or a dict
+# read as its members, a tuple of one or three, an unhashable end
+not_pairs = {
+    "none": None, "int": 5, "text": "AB", "set": {"A", "B"}, "dict": {"A": 1, "B": 2},
+    "one": ("A",), "three": ("A", "B", "C"), "list-in-list": ["A", ["B"]],
+    "list-in-tuple": (["A"], "B"), "list-in-subclass": Pair(("A", ["B"])),
+}
+
+
 class TestDagConstruction:
     def test_nodes_preserve_order(self):
         g = Dag("CBA")
@@ -64,6 +77,18 @@ class TestDagConstruction:
         # with no cycle recovered the message names none
         assert str(CycleError()) == "directed cycle" and CycleError().cycle == []
 
+    @pytest.mark.parametrize("edge", not_pairs.values(), ids=not_pairs.keys())
+    def test_an_edge_that_is_not_a_pair_is_named(self, edge):
+        # named before a later edge's endpoints or a cycle, never read as its members
+        for edges in ([edge, ("A", "Z")], [("A", "B"), ("B", "A"), edge]):
+            with pytest.raises(ValidationError) as exc:
+                Dag("AB", edges)
+            assert str(exc.value) == f"edges must be (tail, head) pairs, got {edge!r}"
+        with pytest.raises(ValidationError, match="pairs, got {'(AX|BX)', '(AX|BX)'}$"):
+            Dag(["AX", "BX"], [{"AX", "BX"}])
+        # a tuple or list subclass of two labels is an edge like any other
+        assert Dag("AB", [Pair("AB")]).edges == Dag("AB", [["A", "B"]]).edges == {("A", "B")}
+
     @pytest.mark.parametrize("label", ["", "a b", "a,b", "a;b", "a|b", 3, "\ud800"])
     def test_bad_labels_rejected(self, label):
         with pytest.raises(ValidationError):
@@ -78,10 +103,11 @@ class TestDagConstruction:
         | st.lists(some_labels, max_size=6)
         | st.permutations("ABCDE").map(lambda vs: [StrLabel(v) for v in vs]),
         edges=st.lists(st.permutations("ABCDE").map(lambda vs: tuple(vs[:2])), max_size=8)
+        | st.lists(st.permutations("ABCDE").map(lambda vs: Pair(vs[:2])), max_size=4)
         | st.lists(
             st.tuples(some_labels, some_labels)
             | st.lists(st.sampled_from("ABCDE"), max_size=3)
-            | st.sampled_from([None, "AB", ["A", ["B"]]]),
+            | st.sampled_from(list(not_pairs.values())),
             max_size=8,
         ),
     )

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,12 +24,14 @@ from causalsumm import (
     mutilate,
     mutilate_summary,
     recursive_basis,
+    s_separated,
     save_summary,
     summary_recursive_basis,
     topological_order,
     trivial_summary,
 )
 from causalsumm.cli_io import _summary_from_doc, cli
+from causalsumm.summary import BASE, CLUSTER
 from conftest import dags, tricky_dags
 from oracles import has_long_path, reference_canonical, summary_to_doc
 
@@ -46,6 +50,9 @@ class TestContract:
         assert h == h1
         assert hash(h) == hash(h1)
         assert (h1 == object()) is False
+        # another base order or the mutilated flag makes another summary
+        for order, mutilated in (("ACBDE", False), ("ABCDE", True)):
+            assert SummaryDag(g1, h1.quotient, h1.mapping, order, mutilated) != h1
 
     def test_direct_edge_pair_is_legal(self, g1):
         h = contract(trivial_summary(g1), "D", "E")
@@ -276,6 +283,35 @@ class TestRecursiveBasis:
             CiStatement(x={"A"}, y={"A"}, z=set())
         with pytest.raises(ValidationError, match="^unknown universe: 'other'$"):
             CiStatement(x={"A"}, y={"B"}, z=set(), universe="other")
+
+    def test_a_statement_is_a_separation_query(self, h1):
+        assert issubclass(CiStatement, SeparationQuery)
+        assert [f.name for f in dataclasses.fields(CiStatement)] == ["x", "y", "z", "universe"]
+        s = CiStatement({"A"}, {"B"}, {"C"})
+        assert s != SeparationQuery({"A"}, {"B"}, {"C"}) and s.members() == {"A", "B", "C"}
+        assert repr(s).startswith("CiStatement(x=frozenset({'A'}), y=frozenset({'B'})")
+        # the basis goes to the deciders as it is: over labels, and grounded
+        canon = canonical(h1)
+        basis = summary_recursive_basis(h1)
+        assert len(basis) == 2
+        for s in basis:
+            assert s_separated(h1, s) and d_separated(canon, ground_ci(h1, s))
+
+    @given(
+        st.sets(st.sampled_from("ABCD"), max_size=3),
+        st.sets(st.sampled_from("ABCD"), max_size=3),
+        st.sets(st.sampled_from("ABCD"), max_size=3),
+        st.sampled_from([BASE, CLUSTER]),
+    )
+    def test_statements_accept_what_queries_accept(self, x, y, z, universe):
+        def outcome(build, *extra):
+            try:
+                made = build(x, y, z, *extra)
+            except ValidationError as exc:
+                return str(exc)
+            return made.x, made.y, made.z
+
+        assert outcome(CiStatement, universe) == outcome(SeparationQuery)
 
 
 class TestMutilation:
