@@ -18,7 +18,7 @@ import numpy as np
 from .cagres import _check_seed, _Engine
 from .graph_core import Dag, SizeLimitError, ValidationError, topological_order
 from .separation import _canonical_walk
-from .summary import SummaryDag, additional_edges, ground_ci, summary_recursive_basis
+from .summary import SummaryDag, _grounded_basis, additional_edges
 
 
 @dataclass(frozen=True)
@@ -240,11 +240,11 @@ def random_summarize(g, k, seed=0):
 def implication_percentage(a, b):
     """How much of b's recursive basis the summary ``a`` implies, in percent.
 
-    Each statement of b's RB is grounded to base variables and tested by
-    d-separation in canonical(a) — sound and complete for the CIs entailed
-    by a — decided over a's clusters without grounding canonical(a). Both
-    summaries must share the same base graph. An empty RB is fully implied
-    (100).
+    Each statement of b's RB is grounded to base variables as it is made
+    and tested by d-separation in canonical(a) — sound and complete for the
+    CIs entailed by a — decided over a's clusters without grounding it;
+    only the verdict is kept. Both summaries must share the same base
+    graph. An empty RB is fully implied (100).
 
     >>> from causalsumm import contract, trivial_summary
     >>> g = Dag("ABCDE", [("A","B"), ("A","C"), ("B","D"), ("C","D"), ("D","E")])
@@ -256,12 +256,9 @@ def implication_percentage(a, b):
     """
     if a.base != b.base:
         raise ValidationError("summaries must share the same base graph")
-    statements = [ground_ci(b, s) for s in summary_recursive_basis(b)]
-    if not statements:
-        return 100.0
     separated = _canonical_walk(a)
-    implied = sum(separated(s.x, s.y, s.z) for s in statements)
-    return 100.0 * implied / len(statements)
+    implied = [separated(s.x, s.y, s.z) for s in _grounded_basis(b)]
+    return 100.0 * sum(implied) / len(implied) if implied else 100.0
 
 
 def compare(a, b):
@@ -279,7 +276,10 @@ def perturb(g, add, remove, seed=0):
 
     Removes ``remove`` uniformly chosen edges, then adds ``add`` uniformly
     chosen non-edges that point forward along a topological order of the
-    reduced graph. Deterministic in ``seed``.
+    reduced graph. These slots are numbered row by row along the order,
+    without being listed: one draw of ``add`` slot numbers, each mapped to
+    its row by bisection over the row ends and to its column by stepping
+    past the row's children. Deterministic in ``seed``.
     """
     if add < 0 or remove < 0:
         raise ValidationError("add and remove must be non-negative")
@@ -298,18 +298,22 @@ def perturb(g, add, remove, seed=0):
 
     if add:
         order = topological_order(reduced)
-        candidates = [
-            (u, v)
-            for i, u in enumerate(order)
-            for v in order[i + 1 :]
-            if not reduced.has_edge(u, v)
-        ]
-        if add > len(candidates):
-            raise ValidationError(
-                f"cannot add {add} forward edges; only {len(candidates)} slots"
-            )
-        chosen = rng.choice(len(candidates), size=add, replace=False).tolist()
-        edges = edges + [candidates[i] for i in sorted(chosen)]
+        n = len(order)
+        position = {v: i for i, v in enumerate(order)}
+        children = [[] for _ in order]
+        for u, v in edges:
+            children[position[u]].append(position[v])
+        # row i's slots are the n - 1 - i later nodes that are not its children
+        ends = list(accumulate(n - 1 - i - len(js) for i, js in enumerate(children)))
+        slots = ends[-1] if ends else 0
+        if add > slots:
+            raise ValidationError(f"cannot add {add} forward edges; only {slots} slots")
+        for k in sorted(rng.choice(slots, size=add, replace=False).tolist()):
+            i = bisect_right(ends, k)
+            j = k - ends[i] + n - len(children[i])  # i + 1 + k's offset in row i
+            for child in sorted(children[i]):
+                j += child <= j  # step past each child at or before the column
+            edges.append((order[i], order[j]))
     return Dag(g.nodes, sorted(edges))
 
 

@@ -26,13 +26,7 @@ from itertools import chain
 from . import bench, cagres, docalc
 from .graph_core import Dag, GraphError, ValidationError
 from .separation import SeparationQuery, d_separated, s_separated
-from .summary import (
-    SummaryDag,
-    canonical_rows,
-    ground_ci,
-    summary_recursive_basis,
-    trivial_summary,
-)
+from .summary import SummaryDag, _grounded_basis, canonical_rows, trivial_summary
 
 FORMAT_VERSION = 1
 
@@ -126,10 +120,7 @@ def _require_version(doc):
 
 
 def _labels(values):
-    # one pass over the types; only a list of str subclasses needs the second
-    return isinstance(values, list) and (
-        {*map(type, values)} <= {str} or all(isinstance(v, str) for v in values)
-    )
+    return isinstance(values, list) and {*map(type, values)} <= {str}
 
 
 def _edge_pairs(edges, what):
@@ -147,16 +138,16 @@ def _edge_pairs(edges, what):
 
 
 def _dag_from_doc(doc, order=None):
-    """A graph document's ``Dag``. With a summary's ``order``, edges that are
-    all lists first try ``Dag._ordered``, whose one forward pass stands in
-    for Kahn's pass and the summary's order test; when it fails, ``Dag``
-    raises what the per-item checks would, in their order."""
+    """A graph document's ``Dag``. With a summary's ``order``, an edge list
+    first tries ``Dag._ordered``, whose one forward pass stands in for
+    Kahn's pass and the summary's order test; when it fails, ``Dag`` raises
+    what the per-item checks would, in their order."""
     _require(isinstance(doc, dict), "graph document must be an object")
     _require_version(doc)
     nodes = doc.get("nodes")
     _require(isinstance(nodes, list), "graph document needs a 'nodes' list")
     edges = doc.get("edges", [])
-    if isinstance(order, list) and isinstance(edges, list) and {*map(type, edges)} <= {list}:
+    if isinstance(order, list) and isinstance(edges, list):
         g = Dag._ordered(nodes, edges, order)
         if g is not None:
             return g
@@ -493,7 +484,7 @@ def _cmd_rb(args):
     else:
         h = trivial_summary(_dag_from_doc(doc) if is_json else load_dag(args.in_path))
     position = {v: i for i, v in enumerate(h.base_order)}.get
-    for s in (ground_ci(h, c) for c in summary_recursive_basis(h)):
+    for s in _grounded_basis(h):  # each line printed as its statement is made
         print(" | ".join(",".join(sorted(part, key=position)) for part in (s.x, s.y, s.z)))
     return 0
 

@@ -228,10 +228,11 @@ class Dag:
     @classmethod
     def _ordered(cls, nodes, edges, order):
         """``Dag(nodes, edges)``, proven acyclic by ``order`` with no Kahn
-        pass, or None. A forward pass over a permutation of the labels
-        proves every endpoint a label, no edge a self-loop and the graph
-        acyclic. None when a label, an edge or the order fails; then
-        ``Dag(nodes, edges)`` names the fault."""
+        pass, or None. Edges must be exact tuples or lists, so a text, set
+        or dict is never read as its members; then a forward pass over a
+        permutation of the labels proves every endpoint a label, no edge a
+        self-loop and the graph acyclic. None when a label, an edge or the
+        order fails; then ``Dag(nodes, edges)`` names the fault."""
         nodes = tuple(nodes)
         if not _labels_ok(nodes):
             return None
@@ -240,6 +241,8 @@ class Dag:
         self._nodes = frozenset(nodes)
         self._parents = self._children = self._proven_order = None
         try:
+            if not {*map(type, edges)} <= {tuple, list}:
+                return None
             self._edges = frozenset(map(tuple, edges))
             if len(self._edges) != len(edges):
                 return None

@@ -388,7 +388,7 @@ def recursive_basis(g, order):
     """
     order = tuple(order)
     g._require_order(order, "order", "graph's")
-    return _basis(g, order, BASE)
+    return RecursiveBasis(_basis(g, order, BASE))
 
 
 def summary_recursive_basis(h):
@@ -396,21 +396,24 @@ def summary_recursive_basis(h):
 
     Statements can be grounded to base variables with ``ground_ci``.
     """
-    return _basis(h.quotient, topological_order(h.quotient), CLUSTER)
+    return RecursiveBasis(_basis(h.quotient, topological_order(h.quotient), CLUSTER))
 
 
 def _basis(g, order, universe):
-    """The recursive basis of ``g`` along ``order``, a topological order,
-    with its statements in ``universe``."""
-    statements = []
+    """Yield the recursive basis of ``g`` along ``order``, a topological order,
+    one statement in ``universe`` at a time: the package's one basis loop."""
     seen = set()
     for v in order:
         z = g.parents(v)
         y = seen - z
         if y:
-            statements.append(CiStatement({v}, y, z, universe))  # frozen by CiStatement
+            yield CiStatement({v}, y, z, universe)  # frozen by CiStatement
         seen.add(v)
-    return RecursiveBasis(tuple(statements))
+
+
+def _grounded_basis(h):
+    """``summary_recursive_basis(h)`` grounded by ``ground_ci``, one statement at a time."""
+    return (ground_ci(h, s) for s in _basis(h.quotient, topological_order(h.quotient), CLUSTER))
 
 
 def ground_ci(h, statement):

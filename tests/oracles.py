@@ -777,6 +777,46 @@ def reference_gen_random_dag(spec):
     return Dag(labels, edges)
 
 
+def reference_perturb(g, add, remove, seed=0):
+    """``perturb`` with its slots listed: every forward non-edge of the
+    reduced graph's topological order, as pairs, before the draw."""
+    import numpy as np
+
+    from causalsumm import Dag, ValidationError, topological_order
+    from causalsumm.cagres import _check_seed
+
+    if add < 0 or remove < 0:
+        raise ValidationError("add and remove must be non-negative")
+    _check_seed(seed)
+    rng = np.random.default_rng(seed)
+
+    edges = sorted(g.edges)
+    if remove > len(edges):
+        raise ValidationError(
+            f"cannot remove {remove} edges from a graph with {len(edges)}"
+        )
+    if remove:
+        dropped = set(rng.choice(len(edges), size=remove, replace=False).tolist())
+        edges = [e for i, e in enumerate(edges) if i not in dropped]
+    reduced = Dag(g.nodes, edges)
+
+    if add:
+        order = topological_order(reduced)
+        candidates = [
+            (u, v)
+            for i, u in enumerate(order)
+            for v in order[i + 1 :]
+            if not reduced.has_edge(u, v)
+        ]
+        if add > len(candidates):
+            raise ValidationError(
+                f"cannot add {add} forward edges; only {len(candidates)} slots"
+            )
+        chosen = rng.choice(len(candidates), size=add, replace=False).tolist()
+        edges = edges + [candidates[i] for i in sorted(chosen)]
+    return Dag(g.nodes, sorted(edges))
+
+
 def dag_to_doc(g):
     """The graph document ``save_dag`` writes, as a dict."""
     from causalsumm.cli_io import FORMAT_VERSION

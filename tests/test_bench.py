@@ -1,5 +1,8 @@
+import contextlib
 import io
+import os
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -22,15 +25,19 @@ from causalsumm import (
     gen_random_dag,
     implication_percentage,
     load_dag,
+    load_summary,
     perturb,
     random_summarize,
     report_row,
+    save_dag,
+    save_summary,
     summarize,
     trivial_summary,
     write_report,
 )
 import oracles
 from causalsumm import bench, summary
+from causalsumm.cli_io import cli
 from causalsumm.graph_core import topological_order
 from causalsumm.separation import d_separated
 from causalsumm.summary import ground_ci, summary_recursive_basis
@@ -43,6 +50,7 @@ from oracles import (
     reference_brute_force_summarize,
     reference_gen_random_dag,
     reference_implication_percentage,
+    reference_perturb,
 )
 from test_cagres import random_dags
 from test_summary import _random_mutilation, _random_summary
@@ -375,6 +383,98 @@ class TestPerturb:
         p = perturb(g, add=3, remove=2, seed=seed)
         assert p.nodes == g.nodes
         assert len(p.edges) == len(g.edges) + 1
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dags() | st.just(Dag([], [])),
+        st.integers(0, 8),
+        st.integers(0, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_listing_reference(self, g, add, remove, seed):
+        # the slot-count draw picks the very edges the listed slots gave,
+        # or fails with the same text, "only 0 slots" on the empty graph
+        def outcome(run):
+            try:
+                p = run(g, add, remove, seed)
+            except ValidationError as exc:
+                return str(exc)
+            return p.nodes, p.edges
+
+        assert outcome(perturb) == outcome(reference_perturb)
+
+    def test_empty_graph_has_no_slots(self):
+        with pytest.raises(ValidationError, match=r"^cannot add 1 forward edges; only 0 slots$"):
+            perturb(Dag([], []), add=1, remove=0)
+
+
+def traced_peaks(make, n, seed=1):
+    """The ``tracemalloc`` peaks of ``make(g)()`` on random DAGs of n and of
+    2n nodes, each at density 2/size.
+
+    ``make`` prepares a run untraced and returns it; only the run is traced.
+    One untraced run at n goes first, so one-time allocations (a cache, a
+    lazily built parser) fall in neither peak.
+    """
+    graphs = [gen_random_dag(GenSpec(size, 2 / size, seed)) for size in (n, 2 * n)]
+    make(graphs[0])()
+    peaks = []
+    for g in graphs:
+        run = make(g)
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+class TestMemoryGrowsLinearly:
+    # counted, not timed: doubling n at density 2/n may at most double the
+    # traced peak, within 25%. A path that lists O(n²) pairs or basis
+    # members reads 3.6-3.9 here, a linear one 1.6-1.9.
+
+    def assert_linear(self, make, n=400):
+        small, large = traced_peaks(make, n)
+        assert large <= 2.5 * small, (small, large, large / small)
+
+    def test_implication_percentage_streams_the_basis(self):
+        def make(g):
+            h = trivial_summary(g)
+            return lambda: implication_percentage(h, h)
+
+        self.assert_linear(make)
+
+    def test_perturb_lists_no_slots(self):
+        self.assert_linear(lambda g: lambda: perturb(g, 3, 1, 1))
+
+    def test_rb_prints_as_it_goes(self, tmp_path):
+        def make(g):
+            path = tmp_path / "g.json"
+            save_dag(g, path)
+
+            def run():
+                with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                    assert cli(["rb", "--in", str(path)]) == 0
+
+            return run
+
+        self.assert_linear(make)
+
+    def test_load_summary(self, tmp_path):
+        # eight clusters of consecutive nodes in topological order, as the
+        # query workload's summaries have; such a partition is never cyclic
+        def make(g):
+            order = topological_order(g)
+            size = len(order) // 8
+            blocks = [order[i : i + size] for i in range(0, len(order), size)]
+            path = tmp_path / "h.json"
+            save_summary(partition_summary(g, order, blocks), path)
+            return lambda: load_summary(path)
+
+        self.assert_linear(make)
 
 
 class TestReport:

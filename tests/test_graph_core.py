@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -88,6 +93,32 @@ class TestDagConstruction:
             Dag(["AX", "BX"], [{"AX", "BX"}])
         # a tuple or list subclass of two labels is an edge like any other
         assert Dag("AB", [Pair("AB")]).edges == Dag("AB", [["A", "B"]]).edges == {("A", "B")}
+
+    @pytest.mark.parametrize("edge", not_pairs.values(), ids=not_pairs.keys())
+    def test_ordered_refuses_an_edge_that_is_not_a_pair(self, edge):
+        # the loader's fast path is never handed a value it reads as its members
+        for edges in ([edge], [("A", "B"), edge]):
+            assert Dag._ordered("AB", edges, "AB") is None
+
+    def test_ordered_takes_exact_tuples_and_lists_only(self):
+        # a subclass goes to Dag, which takes a pair of labels
+        assert Dag._ordered("AB", [Pair("AB")], "AB") is None
+        assert Dag._ordered("AB", [["A", "B"]], "AB") == Dag("AB", [Pair("AB")])
+        # a set iterates in an order that moves with PYTHONHASHSEED
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        code = (
+            "from causalsumm import Dag\n"
+            "print(Dag._ordered(['AX', 'BX'], [{'AX', 'BX'}], ['AX', 'BX']))"
+        )
+        for seed in range(6):
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)},
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, "None\n", ""), seed
 
     @pytest.mark.parametrize("label", ["", "a b", "a,b", "a;b", "a|b", 3, "\ud800"])
     def test_bad_labels_rejected(self, label):

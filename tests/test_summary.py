@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ from causalsumm import (
     CiStatement,
     CycleError,
     Dag,
+    RecursiveBasis,
     SeparationQuery,
     SummaryDag,
     UnknownNodeError,
@@ -31,7 +33,7 @@ from causalsumm import (
     trivial_summary,
 )
 from causalsumm.cli_io import _summary_from_doc, cli
-from causalsumm.summary import BASE, CLUSTER
+from causalsumm.summary import BASE, CLUSTER, _basis, _grounded_basis
 from conftest import dags, tricky_dags
 from oracles import has_long_path, reference_canonical, summary_to_doc
 
@@ -248,6 +250,21 @@ class TestRecursiveBasis:
         assert len(rb) == 1
         # a statement over base variables grounds to itself
         assert ground_ci(trivial_summary(g), rb.statements[0]) is rb.statements[0]
+
+    @given(dags(), _rngs)
+    def test_collects_the_one_basis_loop(self, g, rng):
+        # _basis yields; both public forms collect the same statements, and
+        # the grounded stream is the collected basis grounded
+        order = topological_order(g)
+        rb = recursive_basis(g, order)
+        assert type(rb) is RecursiveBasis and rb.statements == tuple(_basis(g, order, BASE))
+        h = _random_summary(g, rng)
+        q = h.quotient
+        srb = summary_recursive_basis(h)
+        assert type(srb) is RecursiveBasis
+        assert srb.statements == tuple(_basis(q, topological_order(q), CLUSTER))
+        assert list(_grounded_basis(h)) == [ground_ci(h, s) for s in srb]
+        assert inspect.isgenerator(_basis(g, order, BASE))
 
     def test_invalid_order_rejected(self, g1):
         # every edge goes backwards; the smallest is named
