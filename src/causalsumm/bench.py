@@ -16,7 +16,7 @@ from itertools import accumulate
 import numpy as np
 
 from .cagres import _check_seed, _Engine
-from .graph_core import Dag, SizeLimitError, ValidationError, topological_order
+from .graph_core import Dag, SizeLimitError, ValidationError, _kahn, topological_order
 from .separation import _canonical_walk
 from .summary import SummaryDag, _grounded_basis, additional_edges
 
@@ -228,8 +228,8 @@ def random_summarize(g, k, seed=0):
     if not 1 <= k <= g.num_nodes:
         raise ValidationError(f"infeasible k={k} for {g.num_nodes} nodes")
     _check_seed(seed)
+    engine = _Engine(g)  # the size guard refuses before numpy runs
     rng = np.random.default_rng(seed)
-    engine = _Engine(g)
     while len(engine.order) > k:
         first, second = engine.valid_pairs()
         pick = int(rng.integers(len(first)))
@@ -275,18 +275,19 @@ def perturb(g, add, remove, seed=0):
     """Remove then add random edges, keeping the node set and acyclicity.
 
     Removes ``remove`` uniformly chosen edges, then adds ``add`` uniformly
-    chosen non-edges that point forward along a topological order of the
-    reduced graph. These slots are numbered row by row along the order,
-    without being listed: one draw of ``add`` slot numbers, each mapped to
-    its row by bisection over the row ends and to its column by stepping
-    past the row's children. Deterministic in ``seed``.
+    chosen non-edges that point forward along ``topological_order`` of the
+    reduced graph, got by one Kahn pass over the kept edges: only the
+    result is built as a ``Dag``. These slots are numbered row by row
+    along the order, without being listed: one draw of ``add`` slot
+    numbers, each mapped to its row by bisection over the row ends and to
+    its column by stepping past the row's children. Deterministic in ``seed``.
     """
     if add < 0 or remove < 0:
         raise ValidationError("add and remove must be non-negative")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
 
-    edges = sorted(g.edges)
+    edges = sorted(g.edges)  # the removal draw indexes this order
     if remove > len(edges):
         raise ValidationError(
             f"cannot remove {remove} edges from a graph with {len(edges)}"
@@ -294,10 +295,9 @@ def perturb(g, add, remove, seed=0):
     if remove:
         dropped = set(rng.choice(len(edges), size=remove, replace=False).tolist())
         edges = [e for i, e in enumerate(edges) if i not in dropped]
-    reduced = Dag(g.nodes, edges)
 
     if add:
-        order = topological_order(reduced)
+        order = _kahn(g.nodes, edges)[0]
         n = len(order)
         position = {v: i for i, v in enumerate(order)}
         children = [[] for _ in order]
@@ -308,13 +308,13 @@ def perturb(g, add, remove, seed=0):
         slots = ends[-1] if ends else 0
         if add > slots:
             raise ValidationError(f"cannot add {add} forward edges; only {slots} slots")
-        for k in sorted(rng.choice(slots, size=add, replace=False).tolist()):
+        for k in rng.choice(slots, size=add, replace=False).tolist():
             i = bisect_right(ends, k)
             j = k - ends[i] + n - len(children[i])  # i + 1 + k's offset in row i
             for child in sorted(children[i]):
                 j += child <= j  # step past each child at or before the column
             edges.append((order[i], order[j]))
-    return Dag(g.nodes, sorted(edges))
+    return Dag(g.nodes, edges)
 
 
 #: column order of the sweep report CSV

@@ -33,8 +33,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import GraphError, UnknownNodeError, ValidationError, topological_order
+from .graph_core import (
+    GraphError,
+    SizeLimitError,
+    UnknownNodeError,
+    ValidationError,
+    topological_order,
+)
 from .summary import SummaryDag, cluster_labels
+
+#: the most nodes the greedy engine takes. Its peak RSS grew by 41-45
+#: bytes per n² (``summarize`` at n = 500-1500, density 2/n, k = n/5), so
+#: this limit sits near 1 GiB; the time grows about as n^3.3.
+ENGINE_NODE_LIMIT = 5000
 
 
 class StuckError(GraphError):
@@ -116,7 +127,7 @@ class _Engine:
     ``links[x]`` is x's 0/1 row of parents followed by its row of children,
     so ``adj = links[:, n:]`` is the quotient's adjacency matrix
     (``adj[x, y]`` is an edge x -> y). ``size`` holds the member counts and
-    ``weight`` the total size of each cluster's neighbours; all three are
+    ``weight`` the total neighbour size ``_price`` last set; all three are
     float64, so pricing runs as a BLAS product. Bit y of a bitset stands
     for cluster y: ``kids[x]`` holds x's children and ``reach[x]`` holds x
     and every cluster x reaches, filled first by one pass over the ids in
@@ -127,9 +138,18 @@ class _Engine:
     clusters are due for re-pricing. ``order``, the live ids sorted by
     label, is the one record of which clusters are live, so no scan reads
     a retired id's rows or columns again. ``summary()`` builds the result.
+
+    A graph of more than ``ENGINE_NODE_LIMIT`` nodes raises SizeLimitError
+    before anything is ordered or allocated.
     """
 
     def __init__(self, g, similarity=None):
+        if g.num_nodes > ENGINE_NODE_LIMIT:
+            need = 42 * g.num_nodes**2 / 2**30  # bytes per n², from the fit above
+            raise SizeLimitError(
+                f"the greedy engine's dense matrices would need about {need:.1f} GiB; "
+                f"refusing {g.num_nodes} nodes (limit {ENGINE_NODE_LIMIT})"
+            )
         self.base, self.base_order = g, topological_order(g)
         self.position = {v: i for i, v in enumerate(self.base_order)}
         self.labels = list(self.base_order)
@@ -142,7 +162,7 @@ class _Engine:
         self.links = np.zeros((n, 2 * n))
         self.links[heads, tails] = self.links[tails, [n + w for w in heads]] = 1
         self.adj = self.links[:, n:]
-        self.weight = self.links.sum(axis=1)  # every neighbour has size 1
+        self.weight = np.empty(n)  # unread until _price sets the rows it prices
         self.kids = [sum(1 << w for w in ws) for ws in children]
         self.reach = [0] * n
         for x in reversed(range(n)):  # children first

@@ -399,7 +399,7 @@ def export_summary_dot(h, path):
     lines = ["digraph {"]
     for label, members in h.ordered_clusters.items():
         lines.append(f"  {_dot_quote(label)} [label={_dot_quote(','.join(members))}];")
-    for u, v in sorted(h.quotient.edges):
+    for u, v in sorted(h.quotient.edges):  # a set: sorted, so the bytes never vary
         lines.append(f"  {_dot_quote(u)} -> {_dot_quote(v)};")
     lines.append("}")
     with _output(path) as fh:

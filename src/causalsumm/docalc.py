@@ -10,6 +10,7 @@ means intervening on all its members.
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .graph_core import ValidationError
 from .separation import SeparationQuery, d_separated
@@ -37,14 +38,11 @@ class DoQuery:
             object.__setattr__(self, name, frozenset(getattr(self, name)))
         if not self.y or not self.z:
             raise ValidationError("do-query needs non-empty y and z")
-        sets = [self.x, self.y, self.z, self.w]
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                if sets[i] & sets[j]:
-                    raise ValidationError(
-                        "do-query sets must be pairwise disjoint; "
-                        f"shared: {sorted(sets[i] & sets[j])}"
-                    )
+        for a, b in combinations((self.x, self.y, self.z, self.w), 2):
+            if shared := a & b:
+                raise ValidationError(
+                    f"do-query sets must be pairwise disjoint; shared: {sorted(shared)}"
+                )
 
 
 def rule_applies(h, rule, q, zw_in_hbar=True):

@@ -55,7 +55,7 @@ class CycleError(GraphError):
 
 
 class SizeLimitError(GraphError):
-    """An exhaustive helper was called on an instance above its guard size."""
+    """Brute force or the greedy engine was called above its guard size."""
 
 
 def _check_label(label):
@@ -180,7 +180,8 @@ class Dag:
     edges:
         Iterable of (tail, head) pairs over ``nodes``, each a tuple or list.
         Any other edge (text, a set, ...), self-loops, duplicate pairs,
-        endpoints outside ``nodes``, and directed cycles all raise.
+        endpoints outside ``nodes``, and directed cycles all raise. Edge
+        order is never observed, except in which faulty edge an error names.
 
     The constructor's Kahn pass records the order that proves the graph
     acyclic: ``topological_order``'s. The parent and child sets are built

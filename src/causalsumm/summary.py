@@ -177,11 +177,11 @@ class SummaryDag:
     def from_partition(cls, base, base_order, block_of, block_edges, mutilated=False):
         """The summary of ``base`` whose clusters are the blocks of a partition.
 
-        ``block_of`` maps every base node to a block id and ``block_edges``
-        holds (block, block) quotient edges between distinct blocks.
-        Clusters are labeled by ``cluster_labels`` and the quotient lists
-        them by their earliest member. Raises ``CycleError`` when the block
-        edges are cyclic.
+        ``block_of`` maps every base node to a block id and ``block_edges``,
+        any iterable (a set too), holds (block, block) quotient edges
+        between distinct blocks. Clusters are labeled by ``cluster_labels``
+        and the quotient lists them by their earliest member. Raises
+        ``CycleError`` when the block edges are cyclic.
 
         >>> g = Dag("ABC", [("A", "B"), ("B", "C")])
         >>> h = SummaryDag.from_partition(g, "ABC", {"A": 0, "B": 1, "C": 1}, [(0, 1)])
@@ -192,9 +192,9 @@ class SummaryDag:
         for v in base_order:
             members.setdefault(block_of[v], []).append(v)
         labels = dict(zip(members, cluster_labels(members.values())))
-        quotient = Dag(
-            labels.values(), sorted((labels[a], labels[b]) for a, b in block_edges)
-        )
+        # sorted: given a set with two faulty pairs, Dag names the first it
+        # meets, which would otherwise change with PYTHONHASHSEED
+        quotient = Dag(labels.values(), sorted((labels[a], labels[b]) for a, b in block_edges))
         mapping = {v: labels[block] for v, block in block_of.items()}
         h = cls(base, quotient, mapping, base_order, mutilated=mutilated)
         h._ordered = {labels[block]: tuple(vs) for block, vs in members.items()}
@@ -434,14 +434,15 @@ def ground_ci(h, statement):
 def mutilate(g, bar_x, under_z):
     """Drop every edge into ``bar_x`` and every edge out of ``under_z``.
 
+    The kept edges, a DAG's, go to ``Dag`` unsorted: no error can name one.
+
     >>> g = Dag("ABC", [("A", "B"), ("B", "C")])
     >>> sorted(mutilate(g, {"B"}, set()).edges)
     [('B', 'C')]
     """
     bar_x, under_z = frozenset(bar_x), frozenset(under_z)
     g.require(bar_x | under_z)
-    edges = [(u, v) for u, v in sorted(g.edges) if v not in bar_x and u not in under_z]
-    return Dag(g.nodes, edges)
+    return Dag(g.nodes, [(u, v) for u, v in g.edges if v not in bar_x and u not in under_z])
 
 
 def mutilate_summary(h, bar_x, under_z):

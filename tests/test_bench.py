@@ -36,7 +36,7 @@ from causalsumm import (
     write_report,
 )
 import oracles
-from causalsumm import bench, summary
+from causalsumm import bench, graph_core, summary
 from causalsumm.cli_io import cli
 from causalsumm.graph_core import topological_order
 from causalsumm.separation import d_separated
@@ -408,6 +408,29 @@ class TestPerturb:
         with pytest.raises(ValidationError, match=r"^cannot add 1 forward edges; only 0 slots$"):
             perturb(Dag([], []), add=1, remove=0)
 
+    @pytest.mark.parametrize("add, passes", [(2, 2), (0, 1)])
+    def test_builds_only_the_result(self, monkeypatch, add, passes):
+        # one Dag, the result, whose constructor runs Kahn once; placing
+        # added edges takes one more Kahn pass over the kept edges
+        g = gen_random_dag(GenSpec(n=12, density=0.3, seed=2))
+        counts = {"Dag": 0, "_kahn": 0}
+        init, kahn = Dag.__init__, graph_core._kahn
+
+        def counting_init(self, *args):
+            counts["Dag"] += 1
+            init(self, *args)
+
+        def counting_kahn(*args):
+            counts["_kahn"] += 1
+            return kahn(*args)
+
+        monkeypatch.setattr(Dag, "__init__", counting_init)
+        monkeypatch.setattr(graph_core, "_kahn", counting_kahn)
+        monkeypatch.setattr(bench, "_kahn", counting_kahn)
+        p = perturb(g, add, 1, 5)
+        assert counts == {"Dag": 1, "_kahn": passes}
+        assert len(p.edges) == len(g.edges) + add - 1
+
 
 def traced_peaks(make, n, seed=1):
     """The ``tracemalloc`` peaks of ``make(g)()`` on random DAGs of n and of
@@ -473,6 +496,18 @@ class TestMemoryGrowsLinearly:
             path = tmp_path / "h.json"
             save_summary(partition_summary(g, order, blocks), path)
             return lambda: load_summary(path)
+
+        self.assert_linear(make)
+
+    def test_canonical_export(self, tmp_path):
+        # 5-node blocks of consecutive nodes in topological order: the
+        # canonical edges grow linearly, and so must the export's memory
+        def make(g):
+            order = topological_order(g)
+            blocks = [order[i : i + 5] for i in range(0, len(order), 5)]
+            path, out = tmp_path / "s.json", tmp_path / "out.json"
+            save_summary(partition_summary(g, order, blocks), path)
+            return lambda: cli(["canonical", "--in", str(path), "--out", str(out)])
 
         self.assert_linear(make)
 

@@ -13,6 +13,7 @@ from causalsumm import (
     GenSpec,
     GraphError,
     SimilarityMatrix,
+    SizeLimitError,
     StuckError,
     UnknownNodeError,
     ValidationError,
@@ -329,6 +330,49 @@ class TestEngine:
                 break
             pick = rng.randrange(len(first))
             engine.merge(int(first[pick]), int(second[pick]))
+
+
+def _edgeless(n):
+    return Dag([f"X{i:05d}" for i in range(n)])
+
+
+class TestSizeGuard:
+    # numpy.zeros, as the engine sees it, raises: no test here allocates a
+    # dense matrix, and one past the limit is refused before it is ordered
+    class Allocated(Exception):
+        pass
+
+    @pytest.fixture(autouse=True)
+    def no_dense_matrix(self, monkeypatch):
+        def zeros(*args, **kwargs):
+            raise self.Allocated
+
+        monkeypatch.setattr(cagres.np, "zeros", zeros)
+
+    runs = pytest.mark.parametrize(
+        "run",
+        [lambda g: summarize(g, CagresConfig(k=1)), lambda g: random_summarize(g, 1)],
+        ids=["summarize", "random_summarize"],
+    )
+
+    @runs
+    def test_one_past_the_limit_is_refused_first(self, monkeypatch, run):
+        def never(g):
+            raise AssertionError("ordered before the guard")
+
+        monkeypatch.setattr(cagres, "topological_order", never)
+        n = cagres.ENGINE_NODE_LIMIT + 1
+        message = (
+            rf"^the greedy engine's dense matrices would need about 1\.0 GiB; "
+            rf"refusing {n} nodes \(limit {n - 1}\)$"
+        )
+        with pytest.raises(SizeLimitError, match=message):
+            run(_edgeless(n))
+
+    @runs
+    def test_the_limit_itself_passes_the_guard(self, run):
+        with pytest.raises(self.Allocated):
+            run(_edgeless(cagres.ENGINE_NODE_LIMIT))
 
 
 class TestSummarize:

@@ -758,6 +758,25 @@ class TestCliErrors:
         expected = f"error: out of memory: {message}\n" if message else "error: out of memory\n"
         assert captured.err == expected and captured.out == ""
 
+    def test_summarize_over_the_engine_limit_is_one_line(self, tmp_path, monkeypatch, capsys):
+        # an edgeless graph one node past the limit, refused before numpy
+        # allocates; a missed guard would end in the patched zeros' traceback
+        from causalsumm import cagres
+
+        def zeros(*args, **kwargs):
+            raise AssertionError("allocated past the size guard")
+
+        n = cagres.ENGINE_NODE_LIMIT + 1
+        graph, out = tmp_path / "g.json", tmp_path / "h.json"
+        save_dag(Dag([f"X{i:05d}" for i in range(n)]), graph)
+        monkeypatch.setattr(cagres.np, "zeros", zeros)
+        assert cli(["summarize", "--in", str(graph), "--k", "1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+        assert captured.err.endswith(f"; refusing {n} nodes (limit {n - 1})\n")
+        assert not out.exists()
+
     def test_parse_errors_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.dot"
         bad.write_text("digraph {\n  A -> B\n}\n")

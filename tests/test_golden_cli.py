@@ -14,7 +14,9 @@ One seeded generator draws about 1,500 ``cli()`` calls in groups:
 - seeded damaged documents: graph, summary, DOT and CSV files with one
   entry replaced, removed or shuffled, or their text cut or spliced.
 - similarity CSVs that are symmetric only to within 1e-7, with pairs
-  on both sides of ``--tau 0.5``.
+  on both sides of ``--tau 0.5``;
+- an edgeless graph one node past the greedy engine's size guard, which
+  ``summarize`` refuses.
 
 ``golden_cli.txt`` holds one line per call: the exit code, short sha256
 digests of stdout, stderr and the ``--out`` file (``-`` when empty or
@@ -45,6 +47,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from causalsumm.cagres import ENGINE_NODE_LIMIT
 from causalsumm.cli_io import cli
 
 HERE = Path(__file__).resolve().parent
@@ -328,6 +331,14 @@ def _near_symmetric(rng, work, tag):
                    "--similarity", csv, "--tau", 0.5, "--out", work / f"{tag}h{i}-{seed}.json"]
 
 
+def _too_large(rng, work, tag):
+    """A graph one node past the engine's size guard, generated and then
+    refused by ``summarize`` before it allocates."""
+    graph = work / f"{tag}g.json"
+    yield ["gen", "--n", ENGINE_NODE_LIMIT + 1, "--density", 0, "--out", graph]
+    yield ["summarize", "--in", graph, "--k", 1, "--out", work / f"{tag}h.json"]
+
+
 def groups():
     """The corpus as (title, calls) groups; ``calls(rng, work, tag)`` yields
     argv lists and may read what earlier calls of its group wrote."""
@@ -339,6 +350,7 @@ def groups():
     for i in range(4):
         yield f"damaged documents {i}", _damaged
     yield "near-symmetric similarities", _near_symmetric
+    yield "engine size guard", _too_large
 
 
 def _digest(data):
