@@ -125,10 +125,10 @@ class _Engine:
     Clusters are integer ids, starting as each node's ``base_order``
     position; a merge keeps the first id and retires the second.
     ``links[x]`` is x's 0/1 row of parents followed by its row of children,
-    so ``adj = links[:, n:]`` is the quotient's adjacency matrix
-    (``adj[x, y]`` is an edge x -> y). ``size`` holds the member counts and
-    ``weight`` the total neighbour size ``_price`` last set; all three are
-    float64, so pricing runs as a BLAS product. Bit y of a bitset stands
+    so ``links[:, n:]`` is the quotient's adjacency matrix (``links[x, n + y]``
+    is an edge x -> y). ``size`` holds the member counts and ``weight`` the
+    total neighbour size ``_price`` last set; all three are float64, so
+    pricing runs as a BLAS product. Bit y of a bitset stands
     for cluster y: ``kids[x]`` holds x's children and ``reach[x]`` holds x
     and every cluster x reaches, filled first by one pass over the ids in
     reverse (children before parents). ``far`` is the boolean matrix of
@@ -161,7 +161,6 @@ class _Engine:
         heads = [w for ws in children for w in ws]
         self.links = np.zeros((n, 2 * n))
         self.links[heads, tails] = self.links[tails, [n + w for w in heads]] = 1
-        self.adj = self.links[:, n:]
         self.weight = np.empty(n)  # unread until _price sets the rows it prices
         self.kids = [sum(1 << w for w in ws) for ws in children]
         self.reach = [0] * n
@@ -335,7 +334,7 @@ class _Engine:
     def summary(self):
         """The summary of the current partition."""
         block_of = {v: x for x in self.order for v in self.members[x]}
-        tails, heads = np.nonzero(self.adj)
+        tails, heads = np.nonzero(self.links[:, len(self.links) :])
         return SummaryDag.from_partition(
             self.base, self.base_order, block_of, zip(tails.tolist(), heads.tolist())
         )

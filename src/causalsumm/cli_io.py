@@ -138,19 +138,19 @@ def _edge_pairs(edges, what):
 
 
 def _dag_from_doc(doc, order=None):
-    """A graph document's ``Dag``. With a summary's ``order``, an edge list
-    first tries ``Dag._ordered``, whose one forward pass stands in for
-    Kahn's pass and the summary's order test; when it fails, ``Dag`` raises
-    what the per-item checks would, in their order."""
+    """A graph document's ``Dag``. Its edge list goes to ``Dag`` as it
+    stands, with a summary's ``base_order`` as ``order``, whose one forward
+    pass stands in for Kahn's pass and the summary's order test; when that
+    raises, the edges are read as labelled pairs and ``Dag`` is built again,
+    so a damaged document's errors come in the per-item checks' order."""
     _require(isinstance(doc, dict), "graph document must be an object")
     _require_version(doc)
     nodes = doc.get("nodes")
     _require(isinstance(nodes, list), "graph document needs a 'nodes' list")
     edges = doc.get("edges", [])
-    if isinstance(order, list) and isinstance(edges, list):
-        g = Dag._ordered(nodes, edges, order)
-        if g is not None:
-            return g
+    if isinstance(edges, list):
+        with contextlib.suppress(GraphError):
+            return Dag(nodes, edges, order=order)
     return Dag(nodes, _edge_pairs(edges, "graph document"))
 
 

@@ -6,6 +6,7 @@ so downstream algorithms never re-validate. Graphs are values: every
 "mutation" elsewhere in the package returns a new graph.
 """
 
+import contextlib
 import heapq
 
 #: characters reserved by the file formats (field separators)
@@ -182,11 +183,19 @@ class Dag:
         Any other edge (text, a set, ...), self-loops, duplicate pairs,
         endpoints outside ``nodes``, and directed cycles all raise. Edge
         order is never observed, except in which faulty edge an error names.
+    order:
+        Optional: a topological order already known for the graph, such as
+        a loaded summary's ``base_order``. When it is a permutation of
+        ``nodes`` and every edge goes forward along it, one forward pass
+        over it proves the graph acyclic in place of Kahn's pass. Any other
+        value proves nothing and is ignored: the graph, and every error,
+        are those of ``Dag(nodes, edges)``.
 
-    The constructor's Kahn pass records the order that proves the graph
-    acyclic: ``topological_order``'s. The parent and child sets are built
-    from the edge set once, by ``_freeze`` on first read.
-    ``_require_order`` is the one test of a topological order.
+    The constructor records the order that proves the graph acyclic:
+    ``order`` when it proves it, else Kahn's, which ``topological_order``
+    returns. The parent and child sets are built from the edge set once,
+    by ``_freeze`` on first read. ``_require_order`` is the one test of a
+    topological order.
 
     Examples
     --------
@@ -199,58 +208,33 @@ class Dag:
 
     __slots__ = ("_order", "_nodes", "_edges", "_parents", "_children", "_proven_order")
 
-    def __init__(self, nodes, edges=()):
+    def __init__(self, nodes, edges=(), *, order=None):
         # Each check tests the whole input at once; only when one fails does
         # the per-item loop run, to raise the error that names the offender.
-        order = tuple(nodes)
-        if not _labels_ok(order):
-            _check_labels(order)  # names the first bad or repeated label
-        node_set = frozenset(order)
+        labels = tuple(nodes)
+        if not _labels_ok(labels):
+            _check_labels(labels)  # names the first bad or repeated label
+        self._order, self._nodes = labels, frozenset(labels)
+        self._parents = self._children = self._proven_order = None
 
         edges = list(edges)
         try:
             kinds = {*map(type, edges)}  # one pass; a subclass needs isinstance, a list a copy
             if not kinds <= {tuple, list} and not all(isinstance(e, (tuple, list)) for e in edges):
                 raise TypeError("edges must be tuples or lists")
-            edge_set = set(edges if kinds <= {tuple} else map(tuple, edges))
-            emitted, indegree = _kahn(order, edge_set)  # an unknown endpoint raises KeyError
+            self._edges = edge_set = frozenset(edges if kinds <= {tuple} else map(tuple, edges))
+            if order is not None:  # an order that proves nothing leaves it to Kahn's pass
+                with contextlib.suppress(ValidationError, TypeError, ValueError, KeyError):
+                    self._require_order(order, "order", "graph's")
+            if self._proven_order is None:  # an unknown endpoint raises KeyError
+                self._proven_order, indegree = _kahn(labels, edge_set)
         except (TypeError, ValueError, KeyError):  # not a pair of known labels
             edge_set = None
         # a repeated edge shrinks the set; a self-loop or a cycle leaves nodes unemitted
-        if edge_set is None or len(edge_set) != len(edges) or len(emitted) != len(order):
-            _check_edges(node_set, edges)  # names the first bad edge, before any cycle
+        unproven = edge_set is None or len(self._proven_order) != len(labels)
+        if unproven or len(edge_set) != len(edges):
+            _check_edges(self._nodes, edges)  # names the first bad edge, before any cycle
             raise CycleError(_recover_cycle(edge_set, indegree))
-
-        self._order = order
-        self._nodes = node_set
-        self._edges = frozenset(edge_set)  # copied from a set: sized to its contents
-        self._parents, self._children, self._proven_order = None, None, emitted
-
-    @classmethod
-    def _ordered(cls, nodes, edges, order):
-        """``Dag(nodes, edges)``, proven acyclic by ``order`` with no Kahn
-        pass, or None. Edges must be exact tuples or lists, so a text, set
-        or dict is never read as its members; then a forward pass over a
-        permutation of the labels proves every endpoint a label, no edge a
-        self-loop and the graph acyclic. None when a label, an edge or the
-        order fails; then ``Dag(nodes, edges)`` names the fault."""
-        nodes = tuple(nodes)
-        if not _labels_ok(nodes):
-            return None
-        self = cls.__new__(cls)
-        self._order = nodes
-        self._nodes = frozenset(nodes)
-        self._parents = self._children = self._proven_order = None
-        try:
-            if not {*map(type, edges)} <= {tuple, list}:
-                return None
-            self._edges = frozenset(map(tuple, edges))
-            if len(self._edges) != len(edges):
-                return None
-            self._require_order(order, "order", "graph's")
-        except (TypeError, ValueError, KeyError, ValidationError):  # not labels, or not in order
-            return None
-        return self
 
     def _require_order(self, order, name, owner):
         """Raise ``ValidationError`` unless ``order`` is topological, by one
@@ -392,8 +376,9 @@ def topological_order(g):
 
     Returns a tuple: a permutation of ``g.nodes`` in which every edge goes
     from earlier to later. The tie-break makes the order (and everything
-    derived from it, like canonical DAGs) reproducible across runs. The
-    constructor records this order, so it passes ``_require_order`` at once.
+    derived from it, like canonical DAGs) reproducible across runs. A graph
+    built with no proving ``order`` records this order, so it passes
+    ``_require_order`` at once.
 
     >>> topological_order(Dag("CBA", [("C", "B"), ("B", "A")]))
     ('C', 'B', 'A')

@@ -153,7 +153,11 @@ class SummaryDag:
             raise UnknownNodeError(v) from None
 
     def cluster_size(self, label):
-        return len(self.members(label))
+        """The number of base nodes grouped under ``label``."""
+        try:
+            return len(self.ordered_clusters[label])
+        except KeyError:
+            raise UnknownNodeError(label) from None
 
     def _key(self):
         """The fields that make a summary's identity, for ``==`` and ``hash``."""

@@ -332,8 +332,7 @@ class TestImplicationPercentage:
     def test_builds_no_dag_and_no_canonical(self, h1, h2, monkeypatch):
         # every statement is decided over a's clusters: nothing is grounded
         built = []
-        monkeypatch.setattr(Dag, "__init__", lambda self, *args: built.append(args))
-        monkeypatch.setattr(Dag, "_ordered", lambda *args: built.append(args))
+        monkeypatch.setattr(Dag, "__init__", lambda self, *args, **order: built.append(args))
         monkeypatch.setattr(summary, "canonical", lambda h: built.append(h))
         assert not hasattr(bench, "canonical")
         assert implication_percentage(h1, h2) == 100.0

@@ -23,6 +23,7 @@ from causalsumm import (
     additional_edges,
     canonical,
     gen_random_dag,
+    graph_core,
     load_dag,
     load_summary,
     mutilate_summary,
@@ -924,30 +925,28 @@ def test_a_command_word_parses_as_the_top_level_parser_does(argv):
     ids=["canonical", "ssep", "rb", "docalc-r1", "docalc-r2", "docalc-r3", "metrics"],
 )
 def test_dag_builds_are_pinned(fixtures_dir, tmp_path, monkeypatch, capsys, argv, builds):
-    # every Dag a command builds, as (nodes, edges), whether by the
-    # constructor or by the summary loader's ordered path: no command
-    # rebuilds a graph it loaded, and canonical --out never builds the
-    # grounded graph
-    recorded = []
-    init, ordered = Dag.__init__, Dag._ordered.__func__
+    # every Dag a command builds, as (nodes, edges): no command rebuilds a
+    # graph it loaded, and canonical --out never builds the grounded graph;
+    # the 5-node base is proven by base_order, never by a Kahn pass
+    recorded, kahn_passes = [], []
+    init, kahn = Dag.__init__, graph_core._kahn
 
-    def recording_init(self, nodes, edges=()):
+    def recording_init(self, nodes, edges=(), **order):
         nodes, edges = list(nodes), list(edges)
         recorded.append((len(nodes), len(edges)))
-        init(self, nodes, edges)
+        init(self, nodes, edges, **order)
 
-    def recording_ordered(cls, nodes, edges, order):
-        g = ordered(cls, nodes, edges, order)
-        if g is not None:
-            recorded.append((g.num_nodes, g.num_edges))
-        return g
+    def counting_kahn(order, edges):
+        kahn_passes.append(len(order))
+        return kahn(order, edges)
 
     monkeypatch.setattr(Dag, "__init__", recording_init)
-    monkeypatch.setattr(Dag, "_ordered", classmethod(recording_ordered))
+    monkeypatch.setattr(graph_core, "_kahn", counting_kahn)
     folder = {"h1.json": fixtures_dir, "h2.json": fixtures_dir, "c.json": tmp_path}
     assert cli([str(folder[a] / a) if a in folder else a for a in argv]) == 0
     capsys.readouterr()
     assert recorded == [(5, 5), (4, 3)] + builds
+    assert kahn_passes and 5 not in kahn_passes
 
 
 @pytest.mark.parametrize("command", ["ssep", "r1", "r2", "r3", "canonical", "rb", "metrics"])
@@ -955,9 +954,9 @@ def test_a_summary_load_proves_its_base_by_one_order_test(
     tmp_path, monkeypatch, capsys, command
 ):
     # counted: on the commands that answer on the quotient, a valid summary's
-    # base is proven acyclic by exactly one forward pass over base_order per
-    # load, made inside Dag._ordered; Kahn's pass (in Dag.__init__) never
-    # runs on it, SummaryDag finds the order already proven, and the base's
+    # base is built once per load and proven acyclic by exactly one forward
+    # pass over base_order, made inside Dag.__init__; Kahn's pass never runs
+    # on it, SummaryDag finds the order already proven, and the base's
     # parent and child sets are never built
     g = gen_random_dag(GenSpec(60, 0.1, 3))
     order = topological_order(g)
@@ -973,24 +972,23 @@ def test_a_summary_load_proves_its_base_by_one_order_test(
                     "--x", x, "--w", w])
     loads = 2 if command == "metrics" else 1
 
-    built, proofs, passes, adjacency, inside = [], [], [], [], []
-    init, ordered, require_order, freeze = (
-        Dag.__init__, Dag._ordered.__func__, Dag._require_order, Dag._freeze
+    built, kahn_passes, passes, adjacency, inside = [], [], [], [], []
+    init, kahn, require_order, freeze = (
+        Dag.__init__, graph_core._kahn, Dag._require_order, Dag._freeze
     )
 
-    def counting_init(self, nodes, edges=()):
+    def counting_init(self, nodes, edges=(), **order):
         nodes = list(nodes)
         built.append(len(nodes))
-        init(self, nodes, edges)
-
-    def counting_ordered(cls, nodes, edges, order):
-        inside.append(cls)
+        inside.append(self)
         try:
-            proven = ordered(cls, nodes, edges, order)
+            init(self, nodes, edges, **order)
         finally:
             inside.pop()
-        proofs.append(proven is not None)
-        return proven
+
+    def counting_kahn(order, edges):
+        kahn_passes.append(len(order))
+        return kahn(order, edges)
 
     def counting_require_order(self, order, name, owner):
         if order != self._proven_order:  # a real pass, not the recorded order
@@ -1002,14 +1000,15 @@ def test_a_summary_load_proves_its_base_by_one_order_test(
         freeze(self)
 
     monkeypatch.setattr(Dag, "__init__", counting_init)
-    monkeypatch.setattr(Dag, "_ordered", classmethod(counting_ordered))
+    monkeypatch.setattr(graph_core, "_kahn", counting_kahn)
     monkeypatch.setattr(Dag, "_require_order", counting_require_order)
     monkeypatch.setattr(Dag, "_freeze", counting_freeze)
     assert cli([str(a) for a in argv]) in (0, 1)
     assert capsys.readouterr().err == ""
-    assert proofs == [True] * loads and passes == [(60, True)] * loads
-    assert 60 not in built and 60 not in adjacency
-    assert built and max(built) == 6  # the quotient and its mutilations
+    assert built.count(60) == loads and passes == [(60, True)] * loads
+    assert 60 not in kahn_passes and 60 not in adjacency
+    # the quotient and its mutilations, each proven by Kahn's pass
+    assert max(n for n in built if n != 60) == 6 and 6 in kahn_passes
 
 
 def test_console_script(fixtures_dir, tmp_path):
@@ -1358,9 +1357,9 @@ class TestLoaderMatchesThePerItemOracle:
 
 
 class TestOrderedBase:
-    """A valid summary's base, which ``_dag_from_doc(doc, order)`` builds by
-    one forward pass over ``base_order`` with its adjacency left for first
-    use, is the graph ``Dag`` builds."""
+    """A valid summary's base, which ``_dag_from_doc(doc, order)`` proves
+    acyclic by one forward pass over ``base_order``, with no Kahn pass and
+    its adjacency left for first use, is the graph ``Dag`` builds."""
 
     @settings(max_examples=150, deadline=None)
     @given(docs=graph_and_summary_docs(), data=st.data())
@@ -1368,13 +1367,14 @@ class TestOrderedBase:
         from causalsumm.cli_io import _dag_from_doc
 
         def kahn(*args):
-            raise AssertionError("a valid base must not reach the constructor")
+            raise AssertionError("a valid base must not reach Kahn's pass")
 
         _, summary = docs
         doc = json.loads(json.dumps(summary))["base"]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(Dag, "__init__", kahn)
+            mp.setattr(graph_core, "_kahn", kahn)
             g = _dag_from_doc(doc, summary["base_order"])
+        assert g._proven_order == tuple(summary["base_order"])
         expected = Dag(doc["nodes"], map(tuple, doc["edges"]))
         assert g._parents is None  # no adjacency yet
         assert g.nodes == expected.nodes and g.edges == expected.edges

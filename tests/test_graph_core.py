@@ -96,20 +96,27 @@ class TestDagConstruction:
 
     @pytest.mark.parametrize("edge", not_pairs.values(), ids=not_pairs.keys())
     def test_ordered_refuses_an_edge_that_is_not_a_pair(self, edge):
-        # the loader's fast path is never handed a value it reads as its members
+        # an order's forward pass never reads an edge as its members
         for edges in ([edge], [("A", "B"), edge]):
-            assert Dag._ordered("AB", edges, "AB") is None
+            with pytest.raises(ValidationError) as exc:
+                Dag("AB", edges, order="AB")
+            assert str(exc.value) == f"edges must be (tail, head) pairs, got {edge!r}"
 
-    def test_ordered_takes_exact_tuples_and_lists_only(self):
-        # a subclass goes to Dag, which takes a pair of labels
-        assert Dag._ordered("AB", [Pair("AB")], "AB") is None
-        assert Dag._ordered("AB", [["A", "B"]], "AB") == Dag("AB", [Pair("AB")])
-        # a set iterates in an order that moves with PYTHONHASHSEED
+    def test_ordered_reads_edges_as_the_constructor_does(self):
+        # a tuple or list subclass is an edge like any other, on the order's pass too
+        g = Dag("AB", [Pair("AB")], order="AB")
+        assert g == Dag("AB", [["A", "B"]], order="AB") == Dag("AB", [Pair("AB")])
+        assert g._proven_order == ("A", "B") and type(next(iter(g.edges))) is tuple
+        # a set iterates in an order that moves with PYTHONHASHSEED, so it is
+        # never read as a pair that goes forward along the order
         src = Path(__file__).resolve().parent.parent / "src"
         path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
         code = (
-            "from causalsumm import Dag\n"
-            "print(Dag._ordered(['AX', 'BX'], [{'AX', 'BX'}], ['AX', 'BX']))"
+            "from causalsumm import Dag, ValidationError\n"
+            "try:\n"
+            "    Dag(['AX', 'BX'], [{'AX', 'BX'}], order=['AX', 'BX'])\n"
+            "except ValidationError as exc:\n"
+            "    print(str(exc).split(', got')[0])"
         )
         for seed in range(6):
             proc = subprocess.run(
@@ -118,7 +125,8 @@ class TestDagConstruction:
                 text=True,
                 env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)},
             )
-            assert (proc.returncode, proc.stdout, proc.stderr) == (0, "None\n", ""), seed
+            expected = (0, "edges must be (tail, head) pairs\n", "")
+            assert (proc.returncode, proc.stdout, proc.stderr) == expected, seed
 
     @pytest.mark.parametrize("label", ["", "a b", "a,b", "a;b", "a|b", 3, "\ud800"])
     def test_bad_labels_rejected(self, label):
@@ -154,11 +162,57 @@ class TestDagConstruction:
 
         assert outcome(Dag) == outcome(reference_dag)
 
+    @settings(max_examples=400, deadline=None)
+    @given(g=dags(), data=st.data())
+    def test_an_order_changes_no_graph_and_no_error(self, g, data):
+        # an order that proves the graph stands in for Kahn's pass and is
+        # recorded; any other is ignored: with or without it, the same
+        # nodes, edges and topological_order, or the same error
+        nodes, edges = list(g.nodes), sorted(g.edges)
+        u, v = data.draw(st.sampled_from(edges or [(nodes[0], nodes[-1])]))
+        faults = {"unknown": (u, "Z"), "self-loop": (u, u), "repeat": [u, v], **not_pairs}
+        fault = data.draw(st.sampled_from(["valid", "cycle", *faults]))
+        if fault == "cycle" and u != v:
+            below = sorted(g.descendants({u}) - {u})
+            edges.append((data.draw(st.sampled_from(below)), u) if below else (v, u))
+        elif fault in faults:
+            edges.insert(data.draw(st.integers(0, len(edges))), faults[fault])
+        # Kahn's order, another topological order, and that order reversed
+        other = topological_order(Dag(nodes, [(b, a) for a, b in g.edges]))
+        order = data.draw(
+            st.sampled_from([topological_order(g), other[::-1], other])
+            | st.permutations(nodes)
+            | st.lists(st.sampled_from([*nodes, "Z"]), max_size=len(nodes) + 1)
+            | st.text(max_size=3)
+            | st.sampled_from(["".join(nodes), 5, [["N0"]], {"N0": 1}])
+        )
+
+        def outcome(**order):
+            try:
+                h = Dag(nodes, edges, **order)
+            except Exception as exc:
+                return type(exc), str(exc)
+            return h.nodes, h.edges, topological_order(h), h._proven_order
+
+        plain = outcome()
+        # recorded only when it is a permutation of the labels along every edge
+        labels = isinstance(order, (list, tuple)) and {*map(type, order)} <= {str}
+        position = {w: i for i, w in enumerate(order)} if labels else {}
+        proves = (
+            labels
+            and len(plain) == 4
+            and len(position) == len(order) == len(nodes)
+            and position.keys() == {*nodes}
+            and all(position[a] < position[b] for a, b in plain[1])
+        )
+        assert outcome(order=order) == ((*plain[:3], tuple(order)) if proves else plain)
+
     def test_equality_ignores_node_order(self):
         assert Dag("AB", [("A", "B")]) == Dag("BA", [("A", "B")])
         assert Dag("AB") != Dag("AB", [("A", "B")])
-        # a graph loaded on a recorded order is the same value, and hashes so
-        loaded = Dag._ordered("BA", [("A", "B")], "AB")
+        # a graph proven by a given order is the same value, and hashes so
+        loaded = Dag("BA", [("A", "B")], order="AB")
+        assert loaded._proven_order == ("A", "B")
         assert loaded == Dag("AB", [("A", "B")])
         assert hash(loaded) == hash(Dag("AB", [("A", "B")]))
         assert (Dag("A") == "A") is False
@@ -232,19 +286,19 @@ class TestStructuralQueries:
                 indegree[child] -= 1
                 if not indegree[child]:
                     ready.append(child)
-        loaded = Dag._ordered(nodes, list(g.edges), order)
+        loaded = Dag(nodes, list(g.edges), order=order)
         assert loaded._proven_order == tuple(order)
         assert topological_order(loaded) == expected
 
     def test_topological_order_builds_no_adjacency(self, monkeypatch):
         # counted: topological_order reads the edge set, never the parent
-        # and child sets, on a graph from either constructor
+        # and child sets, on a graph built with or without a proving order
         g = gen_random_dag(GenSpec(40, 0.2, 1))
         expected = reference_topological_order(g)
         fresh = Dag(g.nodes, g.edges)
         # proven by another order: the reverse of the reversed graph's
         order = topological_order(Dag(g.nodes, [(v, u) for u, v in g.edges]))[::-1]
-        loaded = Dag._ordered(g.nodes, list(g.edges), order)
+        loaded = Dag(g.nodes, list(g.edges), order=order)
         assert loaded._proven_order == order != expected
         monkeypatch.setattr(Dag, "_freeze", lambda self: pytest.fail("adjacency built"))
         for h in (fresh, loaded):
@@ -262,12 +316,9 @@ class TestAdjacencyIsBuiltOnce:
         data=st.data(),
     )
     def test_any_mix_of_reads_freezes_once(self, g, ordered, reads, data):
-        # counted: from either constructor a graph holds no parent or child
-        # sets, and its first read of any kind builds both, once
-        if ordered:
-            h = Dag._ordered(g.nodes, list(g.edges), topological_order(g))
-        else:
-            h = Dag(g.nodes, g.edges)
+        # counted: with or without a proving order a graph holds no parent or
+        # child sets, and its first read of any kind builds both, once
+        h = Dag(g.nodes, list(g.edges), order=topological_order(g) if ordered else None)
         assert h._parents is None and h._children is None
         expected = {v: (g.parents(v), g.children(v)) for v in g.nodes}
         frozen, freeze = [], Dag._freeze
