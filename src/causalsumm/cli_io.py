@@ -509,9 +509,7 @@ def _cmd_docalc(args):
         x=_parse_labels(args.x),
         w=_parse_labels(args.w),
     )
-    applies = docalc.rule_applies(
-        h, args.rule.upper(), query, zw_in_hbar=args.zw_in_hbar
-    )
+    applies = docalc.rule_applies(h, args.rule.upper(), query)
     print("APPLIES SEPARATED" if applies else "NOT-APPLICABLE CONNECTED")
     return 0
 
@@ -590,12 +588,6 @@ def _build_parser():
     p.add_argument("--y", required=True)
     p.add_argument("--z", required=True)
     p.add_argument("--w", default="")
-    p.add_argument(
-        "--zw-in-hbar",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="compute rule 3's ancestor sets in the x-mutilated quotient",
-    )
     p.set_defaults(handler=_cmd_docalc)
 
     p = sub.add_parser("metrics", help="pairwise RB implication of two summaries")

@@ -45,7 +45,7 @@ class DoQuery:
                 )
 
 
-def rule_applies(h, rule, q, zw_in_hbar=True):
+def rule_applies(h, rule, q):
     """Does do-calculus rule ``rule`` apply to query ``q`` on summary ``h``?
 
     R1 (insertion/deletion of observations):  y ⊥ z | x ∪ w  in  H with
@@ -60,10 +60,12 @@ def rule_applies(h, rule, q, zw_in_hbar=True):
     mutilated quotient, which is the s-separation of the summary mutilated
     the same way (see ``s_separated``); no mutilated summary is built.
 
-    ``zw_in_hbar`` picks where R3's ancestor sets are computed: in the
-    x-mutilated quotient (default, the standard reading) or in the
-    unmutilated quotient (the literal alternative); the two differ only
-    when x lies on an ancestral path from z to w.
+    R3's ancestor sets are taken in the x-mutilated quotient, as Pearl
+    states the rule. Taking them in the unmutilated quotient instead finds
+    more ancestors, so it bars fewer z clusters and tests separation in a
+    supergraph of this graph: by the soundness theorem it can only answer
+    APPLIES where this reading does too, and it refuses some queries whose
+    rule holds in every compatible DAG.
     """
     if rule not in RULES:
         raise ValidationError(f"unknown rule {rule!r}; expected one of {RULES}")
@@ -75,8 +77,7 @@ def rule_applies(h, rule, q, zw_in_hbar=True):
     if rule == "R2":
         return d_separated(mutilate(g, q.x, q.z), sep)
     # R3: drop the z-clusters that are not ancestors of w, then bar them too
-    host = mutilate(g, q.x, ()) if zw_in_hbar else g
-    zw = q.z - host.ancestors(q.w)
+    zw = q.z - mutilate(g, q.x, ()).ancestors(q.w)
     return d_separated(mutilate(g, q.x | zw, ()), sep)
 
 

@@ -173,6 +173,26 @@ def compatible_dags(h):
             yield labels, within + [slots[i] for i in range(len(slots)) if mask >> i & 1]
 
 
+def contraction(h, edges):
+    """The quotient edges that ``edges`` ground under ``h.mapping``: the
+    cluster pairs joined by at least one edge between their members."""
+    f = h.mapping
+    return {(f[u], f[v]) for u, v in edges if f[u] != f[v]}
+
+
+def strictly_compatible_dags(h):
+    """The ``compatible_dags`` of ``h`` that contract to exactly its
+    quotient, so that every quotient edge is grounded by at least one edge.
+
+    Completeness is stated over these: a summary that answers CONNECTED or
+    NOT-APPLICABLE must be right about one DAG with exactly its structure,
+    not about one that drops a quotient edge."""
+    quotient = set(h.quotient.edges)
+    for labels, edges in compatible_dags(h):
+        if contraction(h, edges) == quotient:
+            yield labels, edges
+
+
 def satisfies_backdoor(labels, edges, t, o, z):
     """The backdoor criterion for ``z`` relative to (t, o) in one DAG: no
     member of ``z`` descends from ``t``, and ``z`` d-separates ``t`` from
@@ -257,7 +277,12 @@ def grounded_rule(rule, x, y, z, w):
 def summary_rule_applies(h, rule, q, zw_in_hbar=True):
     """``rule_applies`` as first written: s-separation in the summary
     mutilated by ``mutilate_summary``, a whole validated summary value per
-    mutilation, rather than d-separation in the mutilated quotient."""
+    mutilation, rather than d-separation in the mutilated quotient.
+
+    ``zw_in_hbar=False`` is R3's literal reading, which the package does
+    not offer: z(w) is taken in the unmutilated quotient rather than the
+    x-mutilated one. It bars a subset of the z clusters the package bars,
+    so it can only lose APPLIES answers; the tests keep it to show that."""
     from causalsumm import SeparationQuery, mutilate_summary, s_separated
 
     sep = SeparationQuery(x=q.y, y=q.z, z=q.x | q.w)

@@ -56,6 +56,32 @@ from test_cagres import random_dags
 from test_summary import _random_mutilation, _random_summary
 
 
+def test_numpy_draws_what_the_golden_corpus_was_recorded_with():
+    # gen, perturb and random_summarize draw through these Generator
+    # calls, and the golden corpus and every seeded instance pin what they
+    # drew under numpy 2.4.6: a numpy that draws otherwise fails here by
+    # name, not as hundreds of changed golden lines
+    import numpy as np
+
+    pinned = {
+        "permutation": (lambda r: r.permutation(8).tolist(), [0, 6, 7, 2, 4, 5, 1, 3]),
+        "random": (
+            lambda r: r.random(3).tolist(),
+            [0.625095466604667, 0.8972138009695755, 0.7756856902451935],
+        ),
+        "integers": (lambda r: [int(r.integers(n)) for n in (2, 10, 1000)], [1, 6, 684]),
+        "choice": (lambda r: r.choice(10, size=4, replace=False).tolist(), [6, 5, 9, 8]),
+    }
+    changed = [
+        f"Generator.{name}" for name, (draw, want) in pinned.items()
+        if draw(np.random.default_rng(7)) != want
+    ]
+    assert not changed, (
+        f"numpy {np.__version__} draws differently from numpy 2.4.6 in "
+        f"{', '.join(changed)}, so every seeded graph and summary changes"
+    )
+
+
 class TestGenRandomDag:
     def test_spec_validation(self):
         with pytest.raises(ValidationError):

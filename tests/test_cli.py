@@ -642,11 +642,14 @@ class TestCommands:
         assert capsys.readouterr().out == "NOT-APPLICABLE CONNECTED\n"
 
     def test_docalc_r3_variant_flag(self, fixtures_dir, capsys):
+        # rule 3 has one reading and no flag that picks another
         h = str(fixtures_dir / "h1.json")
-        args = ["docalc", "--in", h, "--rule", "r3", "--y", "A", "--z", "D",
-                "--no-zw-in-hbar"]
-        assert cli(args) == 0
-        assert capsys.readouterr().out == "APPLIES SEPARATED\n"
+        args = ["docalc", "--in", h, "--rule", "r3", "--y", "A", "--z", "D"]
+        for flag in ("--zw-in-hbar", "--no-zw-in-hbar"):
+            assert cli(args + [flag]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.splitlines()[-1].endswith(f"error: unrecognized arguments: {flag}")
 
     def test_metrics(self, fixtures_dir, capsys):
         code = cli(["metrics", "--a", str(fixtures_dir / "h1.json"),
@@ -814,20 +817,19 @@ class TestParserReuse:
         from causalsumm import trivial_summary
 
         g1, out = str(fixtures_dir / "g1.json"), tmp_path / "out.json"
-        # R3 applies with the x-mutilated ancestor sets and not without them
+        # R3 applies with do(X) held fixed and not without it
         cut = tmp_path / "cut.json"
         save_summary(
             trivial_summary(Dag("UZXWY", [("U", "Z"), ("U", "Y"), ("Z", "X"), ("X", "W")])),
             cut,
         )
-        r3 = ["docalc", "--in", cut, "--rule", "r3", "--y", "Y", "--z", "Z", "--x", "X",
-              "--w", "W"]
+        r3 = ["docalc", "--in", cut, "--rule", "r3", "--y", "Y", "--z", "Z", "--w", "W"]
         sim = tmp_path / "sim.csv"
         sim.write_text(",A,B,C,D,E\nA,1,1,1,1,1\nB,1,1,0.5,1,1\nC,1,0.5,1,1,1\n"
                        "D,1,1,1,1,1\nE,1,1,1,1,1\n")
         summarize = ["summarize", "--in", g1, "--k", "4", "--out", out]
         calls = [
-            r3 + ["--no-zw-in-hbar"],
+            r3 + ["--x", "X"],
             r3,
             summarize + ["--similarity", sim, "--tau", "0.8"],
             summarize,
@@ -852,8 +854,8 @@ class TestParserReuse:
             fresh.append(run(argv))
         assert shared == fresh
         assert [code for code, *_ in shared] == [0, 0, 0, 0, 2, 0]
-        assert shared[0][1] == "NOT-APPLICABLE CONNECTED\n"
-        assert shared[1][1] == "APPLIES SEPARATED\n"
+        assert shared[0][1] == "APPLIES SEPARATED\n"
+        assert shared[1][1] == "NOT-APPLICABLE CONNECTED\n"
         assert shared[2][3] != shared[3][3]  # the similarity keeps B and C apart
         assert "usage:" in shared[4][2]
 

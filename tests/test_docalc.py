@@ -1,4 +1,4 @@
-from itertools import permutations, product
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -21,16 +21,17 @@ from causalsumm import (
 )
 from causalsumm import docalc
 from causalsumm.docalc import RULES
-from conftest import dags, tricky_dags
+from conftest import dags
 from oracles import (
     all_dags,
     compatible_dags,
     grounded_rule,
     reordered_canonical,
     satisfies_backdoor,
+    strictly_compatible_dags,
     summary_rule_applies,
 )
-from test_summary import _random_mutilation, _random_summary, colliding_summaries
+from test_summary import _random_mutilation, _random_summary, _summaries
 
 
 class TestDoQuery:
@@ -71,8 +72,8 @@ class TestRuleApplies:
 
     def test_r3_empty_w_bars_all_of_z(self, h1):
         q = DoQuery(y={"E"}, z={"A"})
-        # z(w) = z when w is empty: both variants agree by construction
-        assert rule_applies(h1, "R3", q, zw_in_hbar=True) == rule_applies(
+        # z(w) = z when w is empty: both readings agree by construction
+        assert rule_applies(h1, "R3", q) == summary_rule_applies(
             h1, "R3", q, zw_in_hbar=False
         )
 
@@ -107,16 +108,11 @@ class TestRuleApplies:
         g = Dag("UZXWY", [("U", "Z"), ("U", "Y"), ("Z", "X"), ("X", "W")])
         h = trivial_summary(g)
         q = DoQuery(y={"Y"}, z={"Z"}, x={"X"}, w={"W"})
-        assert rule_applies(h, "R3", q, zw_in_hbar=True)
-        assert not rule_applies(h, "R3", q, zw_in_hbar=False)
+        assert rule_applies(h, "R3", q)
+        assert not summary_rule_applies(h, "R3", q, zw_in_hbar=False)
 
     @settings(max_examples=80, deadline=None)
-    @given(
-        st.builds(_random_summary, dags() | tricky_dags(), st.randoms(use_true_random=False))
-        | colliding_summaries(),
-        st.randoms(use_true_random=False),
-        st.booleans(),
-    )
+    @given(_summaries, st.randoms(use_true_random=False), st.booleans())
     def test_matches_the_mutilated_summary_formulation(self, h, rng, cut):
         # d-separation in the mutilated quotient answers exactly as
         # s-separation in the summary mutilated the same way
@@ -127,16 +123,43 @@ class TestRuleApplies:
             return
         for _ in range(4):
             q = _random_do_query(labels, rng)
-            for rule, zw_in_hbar in product(RULES, (True, False)):
-                expected = summary_rule_applies(h, rule, q, zw_in_hbar)
-                assert rule_applies(h, rule, q, zw_in_hbar) == expected, (rule, zw_in_hbar, q)
+            for rule in RULES:
+                assert rule_applies(h, rule, q) == summary_rule_applies(h, rule, q), (rule, q)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_summaries, st.randoms(use_true_random=False), st.booleans())
+    def test_the_literal_r3_reading_never_applies_alone(self, h, rng, cut):
+        # taken in the unmutilated quotient, z(w) loses every z cluster that
+        # reaches w only through x, so the literal reading bars fewer
+        # clusters and tests separation in a supergraph: by the soundness
+        # theorem it applies only where rule_applies does
+        if cut:
+            h = _random_mutilation(h, rng)
+        labels = sorted(h.quotient.nodes)
+        if len(labels) < 2:
+            return
+        for _ in range(4):
+            q = _random_do_query(labels, rng)
+            if summary_rule_applies(h, "R3", q, zw_in_hbar=False):
+                assert rule_applies(h, "R3", q), q
+
+    def test_the_literal_r3_reading_refuses_a_rule_that_holds(self):
+        # N0 reaches w = N2 only through x = N1: the literal reading keeps
+        # N3 -> N0 and refuses, yet the rule holds in every compatible DAG
+        g = Dag(
+            [f"N{i}" for i in range(5)],
+            [("N0", "N1"), ("N0", "N4"), ("N1", "N2"), ("N1", "N4"), ("N3", "N0"),
+             ("N3", "N1"), ("N3", "N2")],
+        )
+        h = trivial_summary(g)
+        q = DoQuery(y={"N3"}, z={"N0"}, x={"N1"}, w={"N2"})
+        assert rule_applies(h, "R3", q)
+        assert not summary_rule_applies(h, "R3", q, zw_in_hbar=False)
+        holds = grounded_rule("R3", q.x, q.y, q.z, q.w)
+        assert all(holds(edges) for _, edges in compatible_dags(h))
 
     @settings(max_examples=50, deadline=None)
-    @given(
-        st.builds(_random_summary, dags() | tricky_dags(), st.randoms(use_true_random=False))
-        | colliding_summaries(),
-        st.randoms(use_true_random=False),
-    )
+    @given(_summaries, st.randoms(use_true_random=False))
     def test_builds_at_most_two_mutilated_quotients(self, h, rng):
         labels = sorted(h.quotient.nodes)
         if len(labels) < 2:
@@ -150,10 +173,10 @@ class TestRuleApplies:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(docalc, "mutilate", counted_mutilate)
-            for rule, zw_in_hbar in product(RULES, (True, False)):
+            for rule in RULES:
                 calls.clear()
-                rule_applies(h, rule, q, zw_in_hbar)
-                assert len(calls) == (2 if (rule, zw_in_hbar) == ("R3", True) else 1)
+                rule_applies(h, rule, q)
+                assert len(calls) == (2 if rule == "R3" else 1)
 
     @given(dags(min_nodes=3, max_nodes=6), st.randoms(use_true_random=False))
     def test_positive_answers_transfer_to_the_mutilated_base(self, g, rng):
@@ -175,28 +198,46 @@ class TestRuleApplies:
     @given(dags(min_nodes=3, max_nodes=5), st.randoms(use_true_random=False))
     def test_sound_in_every_compatible_dag(self, g, rng):
         # a positive answer holds when the rule is grounded in every DAG the
-        # (unmutilated) summary stands for; both readings of R3 ground to
-        # Pearl's, which takes z(w) in the x-barred DAG
+        # (unmutilated) summary stands for
         h = _random_summary(g, rng)
-        labels = sorted(h.quotient.nodes)
-        if len(labels) < 2:
+        verdicts = _grounded_verdicts(h, rng)
+        checks = {v: grounded_rule(*v) for v, applies in verdicts.items() if applies}
+        if not checks:
             return
-        positives = set()
-        for y, z in permutations(labels, 2):
-            rest = [c for c in labels if c not in (y, z)]
-            x = {c for c in rest if rng.random() < 0.25}
-            w = {c for c in rest if c not in x and rng.random() < 0.5}
-            q = DoQuery(y={y}, z={z}, x=x, w=w)
-            grounded = [frozenset().union(*map(h.members, s)) for s in (q.x, q.y, q.z, q.w)]
-            for rule, zw_in_hbar in (("R1", True), ("R2", True), ("R3", True), ("R3", False)):
-                if rule_applies(h, rule, q, zw_in_hbar=zw_in_hbar):
-                    positives.add((rule, *grounded))
-        if not positives:
-            return
-        checks = {positive: grounded_rule(*positive) for positive in positives}
         for _, edges in compatible_dags(h):
             for positive, holds in checks.items():
                 assert holds(edges), (edges, positive)
+
+    @settings(max_examples=20, deadline=None)
+    @given(dags(min_nodes=3, max_nodes=5), st.randoms(use_true_random=False))
+    def test_every_refusal_fails_in_a_strictly_compatible_dag(self, g, rng):
+        # completeness: a NOT-APPLICABLE rule, grounded, fails in some DAG
+        # that contracts to exactly the quotient
+        h = _random_summary(g, rng)
+        verdicts = _grounded_verdicts(h, rng)
+        checks = {v: grounded_rule(*v) for v, applies in verdicts.items() if not applies}
+        for _, edges in strictly_compatible_dags(h):
+            if not checks:
+                break
+            checks = {v: holds for v, holds in checks.items() if holds(edges)}
+        assert not checks, list(checks)
+
+
+def _grounded_verdicts(h, rng):
+    """``rule_applies`` for every rule on one random query per ordered pair
+    of clusters (singleton y and z), keyed by the rule and the query's
+    grounded x, y, z and w."""
+    labels = sorted(h.quotient.nodes)
+    verdicts = {}
+    for y, z in permutations(labels, 2):
+        rest = [c for c in labels if c not in (y, z)]
+        x = {c for c in rest if rng.random() < 0.25}
+        w = {c for c in rest if c not in x and rng.random() < 0.5}
+        q = DoQuery(y={y}, z={z}, x=x, w=w)
+        grounded = [frozenset().union(*map(h.members, s)) for s in (q.x, q.y, q.z, q.w)]
+        for rule in RULES:
+            verdicts[rule, *grounded] = rule_applies(h, rule, q)
+    return verdicts
 
 
 def _random_do_query(labels, rng):

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from oracles import (
     d_separated_oracle,
     moral_d_separated,
     nx_d_separated,
+    strictly_compatible_dags,
 )
 from test_cagres import hashed_dags
 from test_summary import _random_mutilation, _random_summary, colliding_summaries
@@ -172,6 +174,24 @@ class TestSSeparation:
             for _ in range(3):
                 query = _draw_query(data, s.quotient)
                 assert s_separated(s, query) == canonical_s_separated(s, query)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dags(min_nodes=2, max_nodes=5), st.randoms(use_true_random=False))
+    def test_every_connected_answer_has_a_strictly_compatible_witness(self, g, rng):
+        # completeness: a CONNECTED query, grounded, is d-connected in some
+        # DAG that contracts to exactly the quotient
+        h = _random_summary(g, rng)
+        labels = sorted(h.quotient.nodes)
+        pending = set()
+        for x, y in combinations(labels, 2):
+            z = {c for c in labels if c not in (x, y) and rng.random() < 0.5}
+            if not s_separated(h, SeparationQuery({x}, {y}, z)):
+                pending.add(tuple(frozenset().union(*map(h.members, s)) for s in ({x}, {y}, z)))
+        for _, edges in strictly_compatible_dags(h):
+            if not pending:
+                break
+            pending = {q for q in pending if moral_d_separated(edges, *q)}
+        assert not pending, list(pending)
 
 
 @st.composite

@@ -35,9 +35,14 @@ from causalsumm import (
 from causalsumm.cli_io import _summary_from_doc, cli
 from causalsumm.summary import BASE, CLUSTER, _basis, _grounded_basis
 from conftest import dags, tricky_dags
-from oracles import has_long_path, reference_canonical, summary_to_doc
+from oracles import contraction, has_long_path, reference_canonical, summary_to_doc
 
 _rngs = st.randoms(use_true_random=False)
+#: random summaries of plain and tricky-labelled graphs, and ones whose
+#: first merge is labeled AB#2
+_summaries = st.deferred(
+    lambda: st.builds(_random_summary, dags() | tricky_dags(), _rngs) | colliding_summaries()
+)
 
 
 def stmt_sets(statements):
@@ -160,19 +165,20 @@ class TestCanonical:
         for s in (h, _random_mutilation(h, rng)):
             assert additional_edges(s) == canonical(s).num_edges - g.num_edges
 
-    @given(
-        st.deferred(
-            lambda: st.builds(_random_summary, dags() | tricky_dags(), _rngs)
-            | colliding_summaries()
-        ),
-        _rngs,
-        st.booleans(),
-    )
+    @given(_summaries, _rngs, st.booleans())
     def test_canonical_is_the_definition(self, h, rng, cut):
         if cut:
             h = _random_mutilation(h, rng)
         canon, ref = canonical(h), reference_canonical(h)
         assert canon == ref and canon.nodes == ref.nodes == h.base_order
+
+    @given(_summaries, _rngs, st.booleans())
+    def test_canonical_contracts_to_exactly_the_quotient(self, h, rng, cut):
+        # canonical(h) is strictly compatible with h, so it witnesses every
+        # CONNECTED answer: the completeness half of s-separation
+        if cut:
+            h = _random_mutilation(h, rng)
+        assert contraction(h, canonical(h).edges) == set(h.quotient.edges)
 
     def test_colliding_labels_ground_by_members(self):
         g = Dag(["A", "B", "AB", "C"], [("A", "B"), ("B", "AB"), ("AB", "C")])
@@ -400,7 +406,7 @@ class TestSummaryDagInvariants:
             SummaryDag(g1, quotient, dict.fromkeys("ABCDE", "ABC"), tuple("ABCDE"))
 
     def test_an_unknown_label_is_named(self, h1):
-        for lookup in (h1.members, h1.cluster_of):
+        for lookup in (h1.members, h1.cluster_of, h1.cluster_size):
             with pytest.raises(UnknownNodeError, match="^unknown node: 'Z'$"):
                 lookup("Z")
 
@@ -419,11 +425,7 @@ class TestSummaryDagInvariants:
         with pytest.raises(ValidationError, match="topological: edge A -> B goes backwards"):
             SummaryDag(g1, h1.quotient, h1.mapping, tuple("EDCBA"))
 
-    @given(
-        st.builds(_random_summary, dags() | tricky_dags(), _rngs) | colliding_summaries(),
-        _rngs,
-        st.sampled_from(["contracted", "mutilated", "loaded"]),
-    )
+    @given(_summaries, _rngs, st.sampled_from(["contracted", "mutilated", "loaded"]))
     def test_ordered_clusters_bucket_the_base_order(self, h, rng, kind):
         if kind == "mutilated":
             h = _random_mutilation(h, rng)
