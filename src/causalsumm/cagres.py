@@ -8,23 +8,25 @@ DAG would gain.
 ``summarize`` and the random baseline ``bench.random_summarize`` run on
 one incremental engine instead of rebuilding a summary per merge. The
 engine keeps the working partition as integer cluster ids with their
-members, sizes, labels and a quotient adjacency matrix, and a merge
-updates each of them in place:
+members, sizes, labels and quotient adjacency, and a merge updates each
+of them in place:
 
 - Reachability is kept as Python-int bitsets: a merge ORs the merged
   row into the rows of its ancestors, in the style of incremental
-  transitive closure (Italiano, TCS 1986). Validity is a boolean matrix
-  whose rows are refreshed from those bitsets only for the ancestors.
+  transitive closure (Italiano, TCS 1986). Validity is refreshed from
+  those bitsets only for the ancestors.
 - Merge prices are memoized per pair; a merge marks only its
   neighbourhood for re-pricing, the pattern of agglomerative clustering
-  (Müllner, arXiv:1109.2378). Re-pricing is one float64 matrix product
-  per block of rows, exact because every price is a small integer.
+  (Müllner, arXiv:1109.2378).
 - The live ids are one list sorted by label; a merge drops one, moves one.
 
-Every iteration still scans all valid pairs in label order, as one
-vectorized pass over the label-ordered grid, so the output, tie-break
-coins included, equals the plain rescan kept in the tests as the
-reference. The summary is built once, at the end.
+Every iteration still scans all valid pairs in label order, so the
+output, tie-break coins included, equals the plain rescan kept in the
+tests as the reference. The summary is built once, at the end. Graphs of
+at most ``SMALL_GRAPH`` nodes price and scan pairs in Python loops over
+the bitsets; larger ones in numpy, with one float64 matrix product per
+block of re-priced rows and one vectorized pass over the label-ordered
+grid per scan.
 """
 
 import random
@@ -46,6 +48,12 @@ from .summary import SummaryDag, cluster_labels
 #: bytes per n² (``summarize`` at n = 500-1500, density 2/n, k = n/5), so
 #: this limit sits near 1 GiB; the time grows about as n^3.3.
 ENGINE_NODE_LIMIT = 5000
+
+#: the most nodes the greedy engine prices and scans in its loop form; a
+#: larger graph runs the array form. Per ``summarize`` call (k = n/2, 30
+#: graphs per size, densities 0.35 and 4/n) the loop form ran 2.3x as fast
+#: at n = 8, 1.4-1.5x at n = 16, 1.0-1.14x at n = 22 and 0.89-0.94x at n = 24.
+SMALL_GRAPH = 22
 
 
 class StuckError(GraphError):
@@ -123,21 +131,34 @@ class _Engine:
     by each merge.
 
     Clusters are integer ids, starting as each node's ``base_order``
-    position; a merge keeps the first id and retires the second.
-    ``links[x]`` is x's 0/1 row of parents followed by its row of children,
-    so ``links[:, n:]`` is the quotient's adjacency matrix (``links[x, n + y]``
-    is an edge x -> y). ``size`` holds the member counts and ``weight`` the
-    total neighbour size ``_price`` last set; all three are float64, so
-    pricing runs as a BLAS product. Bit y of a bitset stands
-    for cluster y: ``kids[x]`` holds x's children and ``reach[x]`` holds x
-    and every cluster x reaches, filled first by one pass over the ids in
-    reverse (children before parents). ``far`` is the boolean matrix of
-    pairs joined by a path of at least two edges and ``clash`` the one of
-    pairs with a member pair below the similarity threshold (None without
-    a similarity). ``memo`` holds merge prices; the rows of ``stale``
+    position; a merge keeps the first id and retires the second. Bit y of
+    a bitset stands for cluster y: ``kids[x]`` holds x's children and
+    ``reach[x]`` holds x and every cluster x reaches, filled first by one
+    pass over the ids in reverse (children before parents). ``size``
+    holds the member counts and ``weight`` the total neighbour size the
+    last pricing set. ``memo`` holds merge prices; the rows of ``stale``
     clusters are due for re-pricing. ``order``, the live ids sorted by
     label, is the one record of which clusters are live, so no scan reads
-    a retired id's rows or columns again. ``summary()`` builds the result.
+    a retired id again. ``summary()`` builds the result from the members
+    and ``kids``.
+
+    How pairs are priced and scanned depends on the graph's size alone. A
+    graph of at most ``SMALL_GRAPH`` nodes runs the loop form, which
+    allocates no numpy array: ``parents`` bitsets sit beside ``kids``,
+    ``far[x]`` is the bitset of clusters x reaches by a path of at least
+    two edges and ``clash[x]`` that of clusters with a member pair below
+    the similarity threshold (None without a similarity), ``size``,
+    ``weight`` and the ``memo`` rows are lists, and each valid pair in a
+    stale row is priced by ``_merge_price`` on Python ints. A larger
+    graph runs the array form, whose numpy calls cost less than those
+    loops there:
+    ``links[x]`` is x's 0/1 row of parents followed by its row of
+    children, ``far`` and ``clash`` are boolean matrices, and ``size``,
+    ``weight``, ``links`` and ``memo`` are float64, so pricing runs as a
+    BLAS product, exact because every price is a small integer. Both
+    forms price with the same formula and scan the same valid pairs in
+    the same label order with the same coin, so their outputs are
+    identical.
 
     A graph of more than ``ENGINE_NODE_LIMIT`` nodes raises SizeLimitError
     before anything is ordered or allocated.
@@ -155,13 +176,7 @@ class _Engine:
         self.labels = list(self.base_order)
         n = len(self.labels)
         self.members = [[v] for v in self.labels]
-        self.size = np.ones(n)
         children = [[self.position[c] for c in g.children(v)] for v in self.labels]
-        tails = [x for x, heads in enumerate(children) for _ in heads]
-        heads = [w for ws in children for w in ws]
-        self.links = np.zeros((n, 2 * n))
-        self.links[heads, tails] = self.links[tails, [n + w for w in heads]] = 1
-        self.weight = np.empty(n)  # unread until _price sets the rows it prices
         self.kids = [sum(1 << w for w in ws) for ws in children]
         self.reach = [0] * n
         for x in reversed(range(n)):  # children first
@@ -169,17 +184,40 @@ class _Engine:
             for w in children[x]:
                 row |= self.reach[w]
             self.reach[x] = row
-        self.far = self._bits([self._far_row(x) for x in range(n)])
+        far = [self._far_row(x) for x in range(n)]
         self.clash = None
         if similarity is not None:
             index = _similarity_index(similarity, self.base_order)
             rows = [index[v] for v in self.labels]
-            self.clash = similarity.values[np.ix_(rows, rows)] < similarity.threshold
-        self.memo = np.zeros((n, n))
         self.stale = set(range(n))
         self.plain = True  # every label is its one member
-        self.lower = np.tri(n, dtype=bool)
         self.order = sorted(range(n), key=self.labels.__getitem__)
+        self.dense = n > SMALL_GRAPH
+        if not self.dense:
+            self.size, self.weight, self.far = [1] * n, [0] * n, far
+            self.parents = [0] * n
+            for x, heads in enumerate(children):
+                for w in heads:
+                    self.parents[w] |= 1 << x
+            if similarity is not None:
+                values, threshold = similarity.values, similarity.threshold
+                self.clash = [
+                    sum(1 << y for y, j in enumerate(rows) if values.item(i, j) < threshold)
+                    for i in rows
+                ]
+            self.memo = [[0] * n for _ in range(n)]
+            return
+        self.size = np.ones(n)
+        tails = [x for x, heads in enumerate(children) for _ in heads]
+        heads = [w for ws in children for w in ws]
+        self.links = np.zeros((n, 2 * n))
+        self.links[heads, tails] = self.links[tails, [n + w for w in heads]] = 1
+        self.weight = np.empty(n)  # unread until _price sets the rows it prices
+        self.far = self._bits(far)
+        if similarity is not None:
+            self.clash = similarity.values[np.ix_(rows, rows)] < similarity.threshold
+        self.memo = np.zeros((n, n))
+        self.lower = np.tri(n, dtype=bool)
 
     def _far_row(self, x):
         """The clusters ``x`` reaches by a path of at least two edges, as a bitset."""
@@ -191,16 +229,42 @@ class _Engine:
         return row
 
     def prices(self):
-        """The merge price of every pair of live clusters, as a matrix."""
+        """The merge price of every pair of live clusters, as a matrix
+        (array form) or a list of rows (loop form)."""
         if self.stale:
-            self._price(self.stale)
+            (self._price if self.dense else self._price_loop)(self.stale)
             self.stale.clear()
         return self.memo
 
+    def _price_loop(self, rows):
+        """Price every valid pair involving a cluster in ``rows`` by
+        ``_merge_price``, after refreshing those rows' ``weight`` (loop
+        form). An invalid pair keeps its old price: it stays invalid until
+        one of its clusters merges, and that re-prices the merged row."""
+        size, weight, memo, far, clash = self.size, self.weight, self.memo, self.far, self.clash
+        kids, parents = self.kids, self.parents
+        for x in rows:
+            weight[x] = _mass(kids[x] | parents[x], size)
+        done = 0
+        for x in rows:
+            done |= 1 << x
+            skip = done | far[x] if clash is None else done | far[x] | clash[x]
+            for y in self.order:
+                if not (skip >> y | far[y] >> x) & 1:
+                    common = kids[x] & kids[y] | parents[x] & parents[y]
+                    memo[x][y] = memo[y][x] = _merge_price(
+                        size[x],
+                        size[y],
+                        weight[x],
+                        weight[y],
+                        _mass(common, size) if common else 0,
+                        (kids[x] >> y | kids[y] >> x) & 1,
+                    )
+
     def _price(self, rows):
         """Price every pair involving a cluster in ``rows`` by ``_merge_price``,
-        after refreshing those rows' ``weight``. Every term is an integer
-        far below 2^53, so float64 arithmetic is exact."""
+        after refreshing those rows' ``weight`` (array form). Every term is
+        an integer far below 2^53, so float64 arithmetic is exact."""
         links, size, weight = self.links, self.size, self.weight
         n = len(size)
         sizes = np.concatenate((size, size))  # the size of each column of links
@@ -220,26 +284,17 @@ class _Engine:
 
     def merge(self, a, b):
         """Contract clusters ``a`` and ``b`` (a valid pair) into cluster ``a``."""
-        links = self.links
-        n = len(links)
-        np.maximum(links[a], links[b], out=links[a])
+        either, not_b = 1 << a | 1 << b, ~(1 << b)
         # the merge changes the price of exactly the pairs touching a, b or
         # one of their neighbours
-        near = (links[a, :n] + links[a, n:]).nonzero()[0].tolist()
+        near = self._merge_links(a, b) if self.dense else self._merge_parents(a, b)
         self.stale.update(near)
         self.stale.add(a)
         self.stale.discard(b)
-        sides = links.reshape(n, 2, n)
-        np.maximum(sides[:, :, a], sides[:, :, b], out=sides[:, :, a])
-        links[b] = sides[:, :, b] = sides[a, :, a] = 0
         self.members[a] = sorted(self.members[a] + self.members[b], key=self.position.__getitem__)
         self.size[a] += self.size[b]
-        if self.clash is not None:
-            self.clash[a] |= self.clash[b]
-            self.clash[:, a] = self.clash[a]
         del self.order[bisect_left(self.order, self.labels[b], key=self.labels.__getitem__)]
 
-        either, not_b = 1 << a | 1 << b, ~(1 << b)
         for x in near:
             if self.kids[x] >> b & 1:
                 self.kids[x] = self.kids[x] & not_b | 1 << a
@@ -248,8 +303,44 @@ class _Engine:
         ancestors = [x for x in self.order if self.reach[x] & either]
         for x in ancestors:
             self.reach[x] = (self.reach[x] | row) & not_b
-        self.far[ancestors] = self._bits([self._far_row(x) for x in ancestors])
+        rows = [self._far_row(x) for x in ancestors]
+        if self.dense:
+            self.far[ancestors] = self._bits(rows)
+        else:
+            for x, row in zip(ancestors, rows):
+                self.far[x] = row
         self._relabel(a)
+
+    def _merge_links(self, a, b):
+        """Fold b's ``links`` and ``clash`` rows and columns into a's (array
+        form); returns the merged cluster's neighbours."""
+        links = self.links
+        n = len(links)
+        np.maximum(links[a], links[b], out=links[a])
+        near = (links[a, :n] + links[a, n:]).nonzero()[0].tolist()
+        sides = links.reshape(n, 2, n)
+        np.maximum(sides[:, :, a], sides[:, :, b], out=sides[:, :, a])
+        links[b] = sides[:, :, b] = sides[a, :, a] = 0
+        if self.clash is not None:
+            self.clash[a] |= self.clash[b]
+            self.clash[:, a] = self.clash[a]
+        return near
+
+    def _merge_parents(self, a, b):
+        """Fold b's ``parents`` and ``clash`` bits into a's (loop form);
+        returns the merged cluster's neighbours."""
+        either, not_b = 1 << a | 1 << b, ~(1 << b)
+        parents = self.parents
+        near = list(_ones((parents[a] | parents[b] | self.kids[a] | self.kids[b]) & ~either))
+        for x in near:
+            if parents[x] >> b & 1:
+                parents[x] = parents[x] & not_b | 1 << a
+        parents[a] = (parents[a] | parents[b]) & ~either
+        if self.clash is not None:
+            self.clash[a] |= self.clash[b]
+            for y in _ones(self.clash[a]):
+                self.clash[y] |= 1 << a
+        return near
 
     def _relabel(self, a):
         """Label the live clusters as ``cluster_labels`` would, after a
@@ -279,7 +370,7 @@ class _Engine:
         self.order = sorted(live, key=key)
 
     def _bits(self, rows):
-        """Bitsets unpacked into a boolean matrix, one column per id."""
+        """Bitsets unpacked into a boolean matrix, one column per id (array form)."""
         n = len(self.labels)
         width = (n + 7) // 8
         packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows), np.uint8)
@@ -289,7 +380,7 @@ class _Engine:
     def _grid(self):
         """The live ids in label order, and which cells of the id-by-id grid
         in that order are *not* a valid pair: the lower triangle and the
-        pairs that would close a cycle or break the similarity."""
+        pairs that would close a cycle or break the similarity (array form)."""
         ids = np.array(self.order)
         far = self.far.take(ids, 0).take(ids, 1)
         bad = far | far.T
@@ -298,9 +389,21 @@ class _Engine:
             bad |= self.clash.take(ids, 0).take(ids, 1)
         return ids, bad
 
+    def _loop_pairs(self):
+        """Every valid pair, in scan order, read off the bitsets (loop form)."""
+        far, clash, order = self.far, self.clash, self.order
+        for i, x in enumerate(order):
+            bad = far[x] if clash is None else far[x] | clash[x]
+            for y in order[i + 1 :]:
+                if not (bad >> y | far[y] >> x) & 1:
+                    yield x, y
+
     def valid_pairs(self):
-        """Every valid pair as two id arrays, in scan order: the label order
-        ``combinations`` walks."""
+        """Every valid pair as two id sequences, in scan order: the label
+        order ``combinations`` walks."""
+        if not self.dense:
+            pairs = list(self._loop_pairs())
+            return [x for x, _ in pairs], [y for _, y in pairs]
         ids, bad = self._grid()
         first, second = (~bad).nonzero()
         return ids[first], ids[second]
@@ -308,16 +411,27 @@ class _Engine:
     def cheapest_pair(self, rng):
         """A minimum-price valid pair in scan order, ties broken by the coin.
 
-        Reproduces the sequential scan: the first pair sets the running
+        The loop form walks the pairs: the first pair sets the running
         minimum, a cheaper pair replaces the candidate without a draw, and
         every pair equal to the running minimum draws once and replaces
-        the candidate when the draw is below 0.5. The last record is the
-        first pair at the overall minimum, so only the pairs before it
-        need a running minimum, to count their draws. Invalid cells are
-        NaN, which ``fmin`` skips and no comparison matches.
+        the candidate when the draw is below 0.5. The array form
+        reproduces that walk: the last record is the first pair at the
+        overall minimum, so only the pairs before it need a running
+        minimum, to count their draws. Invalid cells are NaN, which
+        ``fmin`` skips and no comparison matches.
         """
+        memo = self.prices()
+        if not self.dense:
+            best = low = None
+            for x, y in self._loop_pairs():
+                price = memo[x][y]
+                if best is None or price < low:
+                    best, low = (x, y), price
+                elif price == low and rng.random() < 0.5:
+                    best = (x, y)
+            return best
         ids, bad = self._grid()
-        costs = np.where(bad, np.nan, self.prices().take(ids, 0).take(ids, 1)).ravel()
+        costs = np.where(bad, np.nan, memo.take(ids, 0).take(ids, 1)).ravel()
         low = np.fmin.reduce(costs)
         if low != low:  # NaN: no valid pair
             return None
@@ -334,10 +448,28 @@ class _Engine:
     def summary(self):
         """The summary of the current partition."""
         block_of = {v: x for x in self.order for v in self.members[x]}
-        tails, heads = np.nonzero(self.links[:, len(self.links) :])
-        return SummaryDag.from_partition(
-            self.base, self.base_order, block_of, zip(tails.tolist(), heads.tolist())
-        )
+        edges = [(x, w) for x in self.order for w in _ones(self.kids[x])]
+        return SummaryDag.from_partition(self.base, self.base_order, block_of, edges)
+
+
+def _ones(bits):
+    """The positions of a bitset's set bits, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def _mass(bits, size):
+    """The total ``size`` of the clusters in a bitset. The bits are walked
+    inline: summing over ``_ones`` made a 16-node ``summarize`` call about
+    25% slower."""
+    total = 0
+    while bits:
+        low = bits & -bits
+        total += size[low.bit_length() - 1]
+        bits ^= low
+    return total
 
 
 def _merge_price(size_a, size_b, weight_a, weight_b, shared, linked):

@@ -355,16 +355,16 @@ def _cluster_mapping(clusters):
         members = list(chain.from_iterable(groups))
         if {*map(type, members)} <= {str} and len(set(members)) == len(members):
             return {v: label for label, vs in clusters.items() for v in vs}
-    # one cluster at a time, to name the first bad cluster or repeated node
-    mapping = {}
+    # a check above failed: one cluster at a time, name the first bad
+    # cluster or repeated node
+    seen = set()
     for label, members in clusters.items():
         _require(isinstance(members, list), f"cluster {label!r} must be a list of labels")
         _require(members, f"cluster {label!r} is empty")
         _require(_labels(members), f"cluster {label!r} members must be labels")
         for v in members:
-            _require(v not in mapping, f"node {v!r} appears in two clusters")
-            mapping[v] = label
-    return mapping
+            _require(v not in seen, f"node {v!r} appears in two clusters")
+            seen.add(v)
 
 
 def save_summary(h, path):

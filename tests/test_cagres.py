@@ -42,6 +42,24 @@ from oracles import (
 from test_summary import _random_mutilation, _random_summary, colliding_summaries
 
 
+def on_both_forms(run):
+    """``run()``'s result with every engine in its loop form, then in its
+    array form, whatever the graph's size: ``SMALL_GRAPH`` is patched to
+    the engine's node limit, then to 0."""
+    results = []
+    for small_graph in (cagres.ENGINE_NODE_LIMIT, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cagres, "SMALL_GRAPH", small_graph)
+            results.append(run())
+    return results
+
+
+@pytest.fixture
+def array_form(monkeypatch):
+    """Every engine the test builds runs the array form, however small."""
+    monkeypatch.setattr(cagres, "SMALL_GRAPH", 0)
+
+
 def full_similarity(g, overrides=None, threshold=0.8):
     labels = sorted(g.node_set)
     values = np.ones((len(labels), len(labels)))
@@ -258,8 +276,10 @@ def test_one_shot_queries_build_no_engine(g1, h1, h2, h3, h4):
 
 
 class TestEngine:
+    @pytest.mark.usefixtures("array_form")
     def test_merge_evicts_the_merge_neighbourhood(self, g1):
         engine = _Engine(g1)
+        assert engine.dense
         engine.prices()
         assert not engine.stale
         a, b, c, d = (engine.position[v] for v in "ABCD")
@@ -270,17 +290,21 @@ class TestEngine:
         h = trivial_summary(g1)
         assert engine.prices()[a, b] == get_cost(contract(h, "B", "C"), "A", "BC")
 
+    @pytest.mark.usefixtures("array_form")
     def test_memo_entries_outside_the_neighbourhood_survive(self):
         engine = _Engine(Dag("ABCXY", [("A", "B"), ("X", "Y")]))
+        assert engine.dense
         a, b, c, x, y = (engine.position[v] for v in "ABCXY")
         engine.prices()
         engine.merge(a, b)
         assert engine.stale == {a}
         assert engine.memo[x, y] == 0 and engine.memo[x, c] == 2
 
+    @pytest.mark.usefixtures("array_form")
     def test_reachability_is_ored_into_ancestors(self):
         g = Dag("ABCDE", [("A", "B"), ("C", "D"), ("D", "E")])
         engine = _Engine(g)
+        assert engine.dense
         a, b, c, d, e = (engine.position[v] for v in "ABCDE")
 
         def acyclic(x, y):  # no path of two or more edges either way
@@ -294,23 +318,23 @@ class TestEngine:
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(random_dags(max_nodes=20), hashed_dags()), st.randoms(use_true_random=False))
     def test_labels_follow_cluster_labels_after_every_merge(self, g, rng):
-        engine = _Engine(g)
-        while True:
-            first, second = engine.valid_pairs()
-            if not len(first):
-                break
-            pick = rng.randrange(len(first))
-            engine.merge(int(first[pick]), int(second[pick]))
-            live = sorted(engine.order, key=lambda x: engine.position[engine.members[x][0]])
-            labels = [engine.labels[x] for x in live]
-            assert labels == cluster_labels(engine.members[x] for x in live)
-            assert {engine.labels[x]: x for x in engine.order} == dict(zip(labels, live))
-            in_order = [engine.labels[x] for x in engine.order]
-            assert in_order == sorted(in_order)
-            # a retired id keeps its old members, a strict part of a live cluster
-            clusters = set(engine.summary().ordered_clusters.values())
-            built_from = {x for x, vs in enumerate(engine.members) if tuple(vs) in clusters}
-            assert set(engine.order) == built_from
+        for engine in on_both_forms(lambda: _Engine(g)):
+            while True:
+                first, second = engine.valid_pairs()
+                if not len(first):
+                    break
+                pick = rng.randrange(len(first))
+                engine.merge(int(first[pick]), int(second[pick]))
+                live = sorted(engine.order, key=lambda x: engine.position[engine.members[x][0]])
+                labels = [engine.labels[x] for x in live]
+                assert labels == cluster_labels(engine.members[x] for x in live)
+                assert {engine.labels[x]: x for x in engine.order} == dict(zip(labels, live))
+                in_order = [engine.labels[x] for x in engine.order]
+                assert in_order == sorted(in_order)
+                # a retired id keeps its old members, a strict part of a live cluster
+                clusters = set(engine.summary().ordered_clusters.values())
+                built_from = {x for x, vs in enumerate(engine.members) if tuple(vs) in clusters}
+                assert set(engine.order) == built_from
 
     @settings(max_examples=60, deadline=None)
     @given(random_dags(max_nodes=16), st.randoms(use_true_random=False))
@@ -318,18 +342,18 @@ class TestEngine:
         # each live id's reach bitset is exactly what its cluster reaches in
         # the summary's quotient, itself included: at construction, which
         # fills it children first, and after every random valid merge
-        engine = _Engine(g)
-        while True:
-            q = engine.summary().quotient
-            ids = {engine.labels[x]: x for x in engine.order}
-            for x in engine.order:
-                reached = q.descendants({engine.labels[x]})
-                assert engine.reach[x] == sum(1 << ids[c] for c in reached)
-            first, second = engine.valid_pairs()
-            if not len(first):
-                break
-            pick = rng.randrange(len(first))
-            engine.merge(int(first[pick]), int(second[pick]))
+        for engine in on_both_forms(lambda: _Engine(g)):
+            while True:
+                q = engine.summary().quotient
+                ids = {engine.labels[x]: x for x in engine.order}
+                for x in engine.order:
+                    reached = q.descendants({engine.labels[x]})
+                    assert engine.reach[x] == sum(1 << ids[c] for c in reached)
+                first, second = engine.valid_pairs()
+                if not len(first):
+                    break
+                pick = rng.randrange(len(first))
+                engine.merge(int(first[pick]), int(second[pick]))
 
 
 def _edgeless(n):
@@ -375,6 +399,60 @@ class TestSizeGuard:
             run(_edgeless(cagres.ENGINE_NODE_LIMIT))
 
 
+def _scrambled(n, seed=0):
+    """A random DAG on n nodes, drawn without numpy."""
+    rng = random.Random(seed)
+    labels = [f"X{i:05d}" for i in range(n)]
+    order = rng.sample(labels, n)
+    edges = [(u, v) for i, u in enumerate(order) for v in order[i + 1 :] if rng.random() < 0.3]
+    return Dag(labels, edges)
+
+
+class TestLoopForm:
+    # a graph of at most SMALL_GRAPH nodes runs the loop form, which
+    # allocates no numpy array; one node more runs the array form
+    class Allocated(Exception):
+        pass
+
+    def refuse_arrays(self, monkeypatch):
+        """From here on, numpy's array constructors raise Allocated. The
+        random baseline gets a Generator seeded before that, because
+        seeding one allocates."""
+
+        def refuse(*args, **kwargs):
+            raise self.Allocated
+
+        seeded = np.random.default_rng(0)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: seeded)
+        for name in ("zeros", "ones", "empty", "array", "tri", "fromiter"):
+            monkeypatch.setattr(cagres.np, name, refuse)
+
+    runs = pytest.mark.parametrize(
+        "run",
+        [
+            lambda g, sim: summarize(g, CagresConfig(k=1)),
+            lambda g, sim: summarize(g, CagresConfig(k=2, seed=5, similarity=sim)),
+            lambda g, sim: random_summarize(g, 1),
+        ],
+        ids=["summarize", "similarity", "random_summarize"],
+    )
+
+    @runs
+    def test_small_graphs_allocate_no_array(self, monkeypatch, run):
+        g = _scrambled(cagres.SMALL_GRAPH)
+        sim = full_similarity(g, threshold=0.5)
+        self.refuse_arrays(monkeypatch)
+        run(g, sim)
+
+    @runs
+    def test_one_node_more_allocates(self, monkeypatch, run):
+        g = _scrambled(cagres.SMALL_GRAPH + 1)
+        sim = full_similarity(g, threshold=0.5)
+        self.refuse_arrays(monkeypatch)
+        with pytest.raises(self.Allocated):
+            run(g, sim)
+
+
 class TestSummarize:
     def test_g1_k5_is_trivial(self, g1):
         h = summarize(g1, CagresConfig(k=5, seed=0))
@@ -410,8 +488,7 @@ class TestSummarize:
         sim = full_similarity(g1, threshold=0.9)
         sim.values[:] = np.eye(5) + (1 - np.eye(5)) * 0.1
         cfg = CagresConfig(k=2, similarity=sim)
-        with pytest.raises(StuckError):
-            summarize(g1, cfg)
+        assert on_both_forms(lambda: _outcome(lambda: summarize(g1, cfg))) == [StuckError] * 2
 
     def test_redshift_k4_summaries_are_pinned(self, redshift):
         # recorded with the full-rescan summarizer; any drift in the pair
@@ -430,8 +507,9 @@ class TestSummarize:
         ]
         expected = [b, a, b, a, a, a, a, a, a, a]
         for seed, want in enumerate(expected):
-            h = summarize(redshift, CagresConfig(k=4, seed=seed))
-            assert sorted(h.quotient.nodes) == want, seed
+            cfg = CagresConfig(k=4, seed=seed)
+            got = on_both_forms(lambda: sorted(summarize(redshift, cfg).quotient.nodes))
+            assert got == [want, want], seed
 
     @pytest.mark.parametrize(
         "labels, merged",
@@ -445,10 +523,10 @@ class TestSummarize:
             [("C", labels[0]), ("C", labels[1]), (labels[0], "D"), (labels[1], "D")],
         )
         for seed in range(5):
-            h = summarize(g, CagresConfig(k=4, seed=seed))
-            assert h.quotient.node_set == {merged, labels[2], "C", "D"}
-            assert h.members(merged) == set(labels[:2])
-            assert h.members(labels[2]) == {labels[2]}
+            for h in on_both_forms(lambda: summarize(g, CagresConfig(k=4, seed=seed))):
+                assert h.quotient.node_set == {merged, labels[2], "C", "D"}
+                assert h.members(merged) == set(labels[:2])
+                assert h.members(labels[2]) == {labels[2]}
 
     @settings(deadline=None)
     @given(random_dags(max_nodes=12), st.integers(0, 10_000))
@@ -462,8 +540,9 @@ class TestSummarize:
             if is_valid_pair(h, a, b)
         ]
         if costs:
-            merged = summarize(g, CagresConfig(k=g.num_nodes - 1, seed=seed))
-            assert additional_edges(merged) == min(costs)
+            cfg = CagresConfig(k=g.num_nodes - 1, seed=seed)
+            merged = on_both_forms(lambda: additional_edges(summarize(g, cfg)))
+            assert merged == [min(costs)] * 2
 
     @given(dags(min_nodes=2, max_nodes=7), st.integers(0, 1000))
     def test_output_is_always_a_valid_summary(self, g, seed):
@@ -553,18 +632,16 @@ class TestEngineMatchesTheRescan:
     @given(greedy_cases())
     def test_summarize_matches_the_reference_rescan(self, case):
         g, cfg = case
-        assert _outcome(lambda: summarize(g, cfg)) == _outcome(
-            lambda: reference_summarize(g, cfg)
-        )
+        want = _outcome(lambda: reference_summarize(g, cfg))
+        assert on_both_forms(lambda: _outcome(lambda: summarize(g, cfg))) == [want, want]
 
     @settings(max_examples=60, deadline=None)
     @given(similarity_cases())
     def test_summarize_matches_the_reference_rescan_under_a_similarity(self, case):
         # every merge must carry the merged cluster's clash row and column
         g, cfg = case
-        assert _outcome(lambda: summarize(g, cfg)) == _outcome(
-            lambda: reference_summarize(g, cfg)
-        )
+        want = _outcome(lambda: reference_summarize(g, cfg))
+        assert on_both_forms(lambda: _outcome(lambda: summarize(g, cfg))) == [want, want]
 
     @settings(max_examples=60, deadline=None)
     @given(near_symmetric_cases())
@@ -578,17 +655,16 @@ class TestEngineMatchesTheRescan:
         h = trivial_summary(g)
         for a, b in permutations(g.nodes, 2):
             assert is_valid_pair(h, a, b, cfg) == is_valid_pair(h, b, a, cfg)
-        assert _outcome(lambda: summarize(g, cfg)) == _outcome(
-            lambda: reference_summarize(g, cfg)
-        )
+        want = _outcome(lambda: reference_summarize(g, cfg))
+        assert on_both_forms(lambda: _outcome(lambda: summarize(g, cfg))) == [want, want]
 
     @settings(max_examples=40, deadline=None)
     @given(greedy_cases())
     def test_random_summarize_matches_the_reference_rescan(self, case):
         g, cfg = case
-        assert _outcome(lambda: random_summarize(g, cfg.k, cfg.seed)) == _outcome(
-            lambda: reference_random_summarize(g, cfg.k, cfg.seed)
-        )
+        want = _outcome(lambda: reference_random_summarize(g, cfg.k, cfg.seed))
+        got = on_both_forms(lambda: _outcome(lambda: random_summarize(g, cfg.k, cfg.seed)))
+        assert got == [want, want]
 
     @settings(max_examples=60, deadline=None)
     @given(greedy_cases())
@@ -603,10 +679,10 @@ class TestEngineMatchesTheRescan:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(random, "Random", Recorded)
-            _outcome(lambda: summarize(g, cfg))
+            on_both_forms(lambda: _outcome(lambda: summarize(g, cfg)))
             _outcome(lambda: reference_summarize(g, cfg))
-        engine, rescan = made
-        assert engine.getstate() == rescan.getstate()
+        loop, array, rescan = made
+        assert loop.getstate() == array.getstate() == rescan.getstate()
 
 
 def block_similarity(g, groups=8, threshold=0.5):
@@ -667,19 +743,27 @@ class TestWorkloadScale:
     def test_partitions_are_pinned(self, kind, n, degree):
         g = _workload_graph(n, degree, seed=n + degree, relabel=kind == "colliding")
         if kind == "random":
-            h = random_summarize(g, n // 5, seed=degree)
+
+            def run():
+                return random_summarize(g, n // 5, seed=degree)
+
         else:
             similarity = {
                 "similarity": block_similarity(g),
                 "noisy": noisy_similarity(g, seed=n),
             }.get(kind)
-            h = summarize(g, CagresConfig(k=n // 5, seed=degree, similarity=similarity))
-        assert partition_digest(h) == SCALE_PINS[kind, n, degree]
+            cfg = CagresConfig(k=n // 5, seed=degree, similarity=similarity)
+
+            def run():
+                return summarize(g, cfg)
+
+        assert on_both_forms(lambda: partition_digest(run())) == [SCALE_PINS[kind, n, degree]] * 2
 
 
 # merges, rows handed to _Engine._price and coin draws of summarize on
-# three n=300 graphs (density 2/n, k=60), as recorded with the engine that
-# unpacked its bitsets every iteration; the contract fails at +25%
+# three n=300 graphs (density 2/n, k=60, so the array form), as recorded
+# with the engine that unpacked its bitsets every iteration; the contract
+# fails at +25%
 COUNT_PINS = {
     1: {"merges": 240, "rows priced": 1011, "coin draws": 21687},
     2: {"merges": 240, "rows priced": 1026, "coin draws": 12505},
