@@ -15,7 +15,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .cagres import _check_seed, _Engine
+from .cagres import _check_seed, _Engine, _mass
 from .graph_core import Dag, SizeLimitError, ValidationError, _kahn, topological_order
 from .separation import _canonical_walk
 from .summary import SummaryDag, _grounded_basis, additional_edges
@@ -135,15 +135,6 @@ def brute_force_summarize(g, k):
     waiting = [0] * k
     best = None  # (additional_edges, signature, assignment)
 
-    def weight(mask):
-        """The total size of the blocks in ``mask``."""
-        total = 0
-        while mask:
-            low = mask & -mask
-            total += size[low.bit_length() - 1]
-            mask ^= low
-        return total
-
     def tally(mask, step):
         """Add ``step`` to the waiting count of every block in ``mask``."""
         while mask:
@@ -168,7 +159,7 @@ def brute_force_summarize(g, k):
         tally(sources, -1)  # i leaves the unplaced nodes
         kids = children[i]
         # i's own term leaves the sum, and each child gains i as a parent
-        slack -= weight(sources) + len(kids)
+        slack -= _mass(sources, size) + len(kids)
         candidates = []
         # restricted growth: reuse any existing block, or open block
         # nblocks (only while the block budget allows)
@@ -180,7 +171,7 @@ def brute_force_summarize(g, k):
             grown = size[b] + 1
             # b's clique gains size[b] edges, each edge at b gains the
             # neighbour's size, and each new edge x -> b |x|(|b| + 1)
-            count_b = count + size[b] + weight(into[b] | out[b]) + weight(new) * grown
+            count_b = count + size[b] + _mass(into[b] | out[b], size) + _mass(new, size) * grown
             # a child that gets b as a new parent block gains an edge from
             # every member of b, i included; an unplaced node that already
             # has a parent in b gains one, from i

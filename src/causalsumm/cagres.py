@@ -15,18 +15,19 @@ of them in place:
   row into the rows of its ancestors, in the style of incremental
   transitive closure (Italiano, TCS 1986). Validity is refreshed from
   those bitsets only for the ancestors.
-- Merge prices are memoized per pair; a merge marks only its
-  neighbourhood for re-pricing, the pattern of agglomerative clustering
-  (Müllner, arXiv:1109.2378).
+- Above ``SMALL_GRAPH`` nodes merge prices are memoized per pair; a
+  merge marks only its neighbourhood for re-pricing, the pattern of
+  agglomerative clustering (Müllner, arXiv:1109.2378).
 - The live ids are one list sorted by label; a merge drops one, moves one.
 
 Every iteration still scans all valid pairs in label order, so the
 output, tie-break coins included, equals the plain rescan kept in the
 tests as the reference. The summary is built once, at the end. Graphs of
-at most ``SMALL_GRAPH`` nodes price and scan pairs in Python loops over
-the bitsets; larger ones in numpy, with one float64 matrix product per
-block of re-priced rows and one vectorized pass over the label-ordered
-grid per scan.
+at most ``SMALL_GRAPH`` nodes price each valid pair as the scan reaches
+it, in Python loops over the bitsets, as the rescan does; larger ones
+keep the price memo in numpy, with one float64 matrix product per block
+of re-priced rows and one vectorized pass over the label-ordered grid
+per scan.
 """
 
 import random
@@ -51,8 +52,9 @@ ENGINE_NODE_LIMIT = 5000
 
 #: the most nodes the greedy engine prices and scans in its loop form; a
 #: larger graph runs the array form. Per ``summarize`` call (k = n/2, 30
-#: graphs per size, densities 0.35 and 4/n) the loop form ran 2.3x as fast
-#: at n = 8, 1.4-1.5x at n = 16, 1.0-1.14x at n = 22 and 0.89-0.94x at n = 24.
+#: graphs per size, densities 0.35 and 4/n, min of 5) the loop form ran
+#: 2.5x as fast at n = 8, 1.4-1.5x at n = 16, 1.03-1.21x at n = 22,
+#: 0.90-1.02x at n = 24 and 0.77-0.86x at n = 28.
 SMALL_GRAPH = 22
 
 
@@ -135,30 +137,29 @@ class _Engine:
     a bitset stands for cluster y: ``kids[x]`` holds x's children and
     ``reach[x]`` holds x and every cluster x reaches, filled first by one
     pass over the ids in reverse (children before parents). ``size``
-    holds the member counts and ``weight`` the total neighbour size the
-    last pricing set. ``memo`` holds merge prices; the rows of ``stale``
-    clusters are due for re-pricing. ``order``, the live ids sorted by
-    label, is the one record of which clusters are live, so no scan reads
-    a retired id again. ``summary()`` builds the result from the members
-    and ``kids``.
+    holds the member counts. ``order``, the live ids sorted by label, is
+    the one record of which clusters are live, so no scan reads a retired
+    id again. ``summary()`` builds the result from the members and
+    ``kids``.
 
     How pairs are priced and scanned depends on the graph's size alone. A
     graph of at most ``SMALL_GRAPH`` nodes runs the loop form, which
-    allocates no numpy array: ``parents`` bitsets sit beside ``kids``,
-    ``far[x]`` is the bitset of clusters x reaches by a path of at least
-    two edges and ``clash[x]`` that of clusters with a member pair below
-    the similarity threshold (None without a similarity), ``size``,
-    ``weight`` and the ``memo`` rows are lists, and each valid pair in a
-    stale row is priced by ``_merge_price`` on Python ints. A larger
-    graph runs the array form, whose numpy calls cost less than those
-    loops there:
-    ``links[x]`` is x's 0/1 row of parents followed by its row of
-    children, ``far`` and ``clash`` are boolean matrices, and ``size``,
-    ``weight``, ``links`` and ``memo`` are float64, so pricing runs as a
-    BLAS product, exact because every price is a small integer. Both
-    forms price with the same formula and scan the same valid pairs in
-    the same label order with the same coin, so their outputs are
-    identical.
+    allocates no numpy array and keeps no prices: ``parents`` bitsets sit
+    beside ``kids``, ``far[x]`` is the bitset of clusters x reaches by a
+    path of at least two edges and ``clash[x]`` that of clusters with a
+    member pair below the similarity threshold (None without a
+    similarity), ``size`` is a list, and each scan prices every valid
+    pair it reaches by ``_merge_price`` on Python ints. A larger graph
+    runs the array form, whose numpy calls cost less than those loops
+    there: ``links[x]`` is x's 0/1 row of parents followed by its row of
+    children, ``far`` and ``clash`` are boolean matrices, ``memo`` holds
+    merge prices, the rows of ``stale`` clusters are due for re-pricing,
+    ``weight`` is the total neighbour size the last pricing set, and
+    ``size``, ``weight``, ``links`` and ``memo`` are float64, so pricing
+    runs as a BLAS product, exact because every price is a small
+    integer. Both forms price with the same formula and scan the same
+    valid pairs in the same label order with the same coin, so their
+    outputs are identical.
 
     A graph of more than ``ENGINE_NODE_LIMIT`` nodes raises SizeLimitError
     before anything is ordered or allocated.
@@ -189,12 +190,11 @@ class _Engine:
         if similarity is not None:
             index = _similarity_index(similarity, self.base_order)
             rows = [index[v] for v in self.labels]
-        self.stale = set(range(n))
         self.plain = True  # every label is its one member
         self.order = sorted(range(n), key=self.labels.__getitem__)
         self.dense = n > SMALL_GRAPH
         if not self.dense:
-            self.size, self.weight, self.far = [1] * n, [0] * n, far
+            self.size, self.far = [1] * n, far
             self.parents = [0] * n
             for x, heads in enumerate(children):
                 for w in heads:
@@ -205,7 +205,6 @@ class _Engine:
                     sum(1 << y for y, j in enumerate(rows) if values.item(i, j) < threshold)
                     for i in rows
                 ]
-            self.memo = [[0] * n for _ in range(n)]
             return
         self.size = np.ones(n)
         tails = [x for x, heads in enumerate(children) for _ in heads]
@@ -217,6 +216,7 @@ class _Engine:
         if similarity is not None:
             self.clash = similarity.values[np.ix_(rows, rows)] < similarity.threshold
         self.memo = np.zeros((n, n))
+        self.stale = set(range(n))
         self.lower = np.tri(n, dtype=bool)
 
     def _far_row(self, x):
@@ -230,36 +230,11 @@ class _Engine:
 
     def prices(self):
         """The merge price of every pair of live clusters, as a matrix
-        (array form) or a list of rows (loop form)."""
+        (array form)."""
         if self.stale:
-            (self._price if self.dense else self._price_loop)(self.stale)
+            self._price(self.stale)
             self.stale.clear()
         return self.memo
-
-    def _price_loop(self, rows):
-        """Price every valid pair involving a cluster in ``rows`` by
-        ``_merge_price``, after refreshing those rows' ``weight`` (loop
-        form). An invalid pair keeps its old price: it stays invalid until
-        one of its clusters merges, and that re-prices the merged row."""
-        size, weight, memo, far, clash = self.size, self.weight, self.memo, self.far, self.clash
-        kids, parents = self.kids, self.parents
-        for x in rows:
-            weight[x] = _mass(kids[x] | parents[x], size)
-        done = 0
-        for x in rows:
-            done |= 1 << x
-            skip = done | far[x] if clash is None else done | far[x] | clash[x]
-            for y in self.order:
-                if not (skip >> y | far[y] >> x) & 1:
-                    common = kids[x] & kids[y] | parents[x] & parents[y]
-                    memo[x][y] = memo[y][x] = _merge_price(
-                        size[x],
-                        size[y],
-                        weight[x],
-                        weight[y],
-                        _mass(common, size) if common else 0,
-                        (kids[x] >> y | kids[y] >> x) & 1,
-                    )
 
     def _price(self, rows):
         """Price every pair involving a cluster in ``rows`` by ``_merge_price``,
@@ -285,12 +260,7 @@ class _Engine:
     def merge(self, a, b):
         """Contract clusters ``a`` and ``b`` (a valid pair) into cluster ``a``."""
         either, not_b = 1 << a | 1 << b, ~(1 << b)
-        # the merge changes the price of exactly the pairs touching a, b or
-        # one of their neighbours
         near = self._merge_links(a, b) if self.dense else self._merge_parents(a, b)
-        self.stale.update(near)
-        self.stale.add(a)
-        self.stale.discard(b)
         self.members[a] = sorted(self.members[a] + self.members[b], key=self.position.__getitem__)
         self.size[a] += self.size[b]
         del self.order[bisect_left(self.order, self.labels[b], key=self.labels.__getitem__)]
@@ -312,8 +282,9 @@ class _Engine:
         self._relabel(a)
 
     def _merge_links(self, a, b):
-        """Fold b's ``links`` and ``clash`` rows and columns into a's (array
-        form); returns the merged cluster's neighbours."""
+        """Fold b's ``links`` and ``clash`` rows and columns into a's and
+        mark the rows to re-price (array form); returns the merged
+        cluster's neighbours."""
         links = self.links
         n = len(links)
         np.maximum(links[a], links[b], out=links[a])
@@ -324,6 +295,11 @@ class _Engine:
         if self.clash is not None:
             self.clash[a] |= self.clash[b]
             self.clash[:, a] = self.clash[a]
+        # the merge changes the price of exactly the pairs touching a, b or
+        # one of their neighbours
+        self.stale.update(near)
+        self.stale.add(a)
+        self.stale.discard(b)
         return near
 
     def _merge_parents(self, a, b):
@@ -411,27 +387,37 @@ class _Engine:
     def cheapest_pair(self, rng):
         """A minimum-price valid pair in scan order, ties broken by the coin.
 
-        The loop form walks the pairs: the first pair sets the running
-        minimum, a cheaper pair replaces the candidate without a draw, and
-        every pair equal to the running minimum draws once and replaces
-        the candidate when the draw is below 0.5. The array form
-        reproduces that walk: the last record is the first pair at the
-        overall minimum, so only the pairs before it need a running
-        minimum, to count their draws. Invalid cells are NaN, which
-        ``fmin`` skips and no comparison matches.
+        The loop form walks the pairs and prices each as it comes, after
+        one refresh of every live cluster's neighbour mass: the first pair
+        sets the running minimum, a cheaper pair replaces the candidate
+        without a draw, and every pair equal to the running minimum draws
+        once and replaces the candidate when the draw is below 0.5. The
+        array form reads its memo and reproduces that walk: the last
+        record is the first pair at the overall minimum, so only the pairs
+        before it need a running minimum, to count their draws. Invalid
+        cells are NaN, which ``fmin`` skips and no comparison matches.
         """
-        memo = self.prices()
         if not self.dense:
+            size, kids, parents = self.size, self.kids, self.parents
+            weight = {x: _mass(kids[x] | parents[x], size) for x in self.order}
             best = low = None
             for x, y in self._loop_pairs():
-                price = memo[x][y]
+                common = kids[x] & kids[y] | parents[x] & parents[y]
+                price = _merge_price(
+                    size[x],
+                    size[y],
+                    weight[x],
+                    weight[y],
+                    _mass(common, size) if common else 0,
+                    (kids[x] >> y | kids[y] >> x) & 1,
+                )
                 if best is None or price < low:
                     best, low = (x, y), price
                 elif price == low and rng.random() < 0.5:
                     best = (x, y)
             return best
         ids, bad = self._grid()
-        costs = np.where(bad, np.nan, memo.take(ids, 0).take(ids, 1)).ravel()
+        costs = np.where(bad, np.nan, self.prices().take(ids, 0).take(ids, 1)).ravel()
         low = np.fmin.reduce(costs)
         if low != low:  # NaN: no valid pair
             return None
@@ -461,9 +447,9 @@ def _ones(bits):
 
 
 def _mass(bits, size):
-    """The total ``size`` of the clusters in a bitset. The bits are walked
-    inline: summing over ``_ones`` made a 16-node ``summarize`` call about
-    25% slower."""
+    """The total ``size`` of the clusters (or brute-force blocks) in a
+    bitset. The bits are walked inline: summing over ``_ones`` made a
+    16-node ``summarize`` call about 25% slower."""
     total = 0
     while bits:
         low = bits & -bits

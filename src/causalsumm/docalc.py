@@ -93,6 +93,15 @@ def adjustment_set(h, t, o):
     cluster, since a cluster-mate can open a backdoor path the quotient
     does not show, and when ``o`` lies in one of those parent clusters,
     since the set would contain the outcome.
+
+    The first refusal is deliberately wider than it must be. When ``o``
+    lies outside the quotient descendants of t's cluster, some set, often
+    the empty one, may satisfy the criterion in every compatible DAG, but
+    it is not searched for. When ``o``'s cluster is t's or descends from
+    it, no set does: with a cluster-mate m of t, one DAG with exactly the
+    summary's structure has a backdoor path ``t <- m -> ... -> o``, and
+    in the DAG with ``m -> t`` reversed, every node that could block
+    that path descends from t.
     """
     h.base.require((t, o))
     if t == o:

@@ -193,6 +193,17 @@ def strictly_compatible_dags(h):
             yield labels, edges
 
 
+def mutilated_compatible_dags(h, bar_x, under_z):
+    """The DAGs that ``mutilate_summary(h, bar_x, under_z)`` stands for: the
+    ``strictly_compatible_dags`` of h with the edges into members of the
+    ``bar_x`` clusters and out of members of the ``under_z`` clusters
+    removed, as Pearl's mutilation acts on one DAG."""
+    into = frozenset().union(*map(h.members, bar_x))
+    out_of = frozenset().union(*map(h.members, under_z))
+    for labels, edges in strictly_compatible_dags(h):
+        yield labels, [(u, v) for u, v in edges if v not in into and u not in out_of]
+
+
 def satisfies_backdoor(labels, edges, t, o, z):
     """The backdoor criterion for ``z`` relative to (t, o) in one DAG: no
     member of ``z`` descends from ``t``, and ``z`` d-separates ``t`` from

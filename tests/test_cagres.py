@@ -452,6 +452,32 @@ class TestLoopForm:
         with pytest.raises(self.Allocated):
             run(g, sim)
 
+    @settings(max_examples=40, deadline=None)
+    @given(random_dags(max_nodes=cagres.SMALL_GRAPH), st.integers(0, 10_000))
+    def test_each_scan_prices_each_valid_pair_once(self, g, seed):
+        # the loop form keeps no prices between scans: over a whole run,
+        # _merge_price is called once per valid pair of each scan
+        engines, counts = [], {"priced": 0, "valid": 0}
+        cheapest, price = _Engine.cheapest_pair, cagres._merge_price
+
+        def counted_cheapest(engine, rng):
+            engines.append(engine)
+            counts["valid"] += len(engine.valid_pairs()[0])
+            return cheapest(engine, rng)
+
+        def counted_price(*args):
+            counts["priced"] += 1
+            return price(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Engine, "cheapest_pair", counted_cheapest)
+            mp.setattr(cagres, "_merge_price", counted_price)
+            summarize(g, CagresConfig(k=1, seed=seed))
+        assert counts["priced"] == counts["valid"]
+        for engine in engines:
+            assert not engine.dense
+            assert not {"memo", "weight", "stale"} & set(vars(engine))
+
 
 class TestSummarize:
     def test_g1_k5_is_trivial(self, g1):

@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -336,6 +336,30 @@ class TestAdjustmentSet:
             return
         for labels, edges in compatible_dags(h):
             assert satisfies_backdoor(labels, edges, t, o, adj), (edges, t, o, adj)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dags(min_nodes=2, max_nodes=5), st.randoms(use_true_random=False))
+    def test_refusals_below_the_treatment_admit_no_set(self, g, rng):
+        # completeness of the refusals: when o's cluster is t's or one of
+        # its quotient descendants, every set of the other nodes fails the
+        # backdoor criterion in some strictly compatible DAG
+        h = _random_summary(g, rng)
+        nodes = sorted(g.node_set)
+        pending = set()
+        for t, o in permutations(nodes, 2):
+            if h.cluster_of(o) not in h.quotient.descendants({h.cluster_of(t)}):
+                continue
+            try:
+                adjustment_set(h, t, o)
+            except ValidationError:
+                others = [v for v in nodes if v not in (t, o)]
+                for size in range(len(others) + 1):
+                    pending.update((t, o, z) for z in combinations(others, size))
+        for labels, edges in strictly_compatible_dags(h):
+            if not pending:
+                break
+            pending = {q for q in pending if satisfies_backdoor(labels, edges, *q)}
+        assert not pending, list(pending)
 
     @settings(max_examples=15, deadline=None)
     @given(dags(min_nodes=1, max_nodes=4), st.randoms(use_true_random=False))

@@ -13,6 +13,7 @@ from causalsumm import (
     ValidationError,
     canonical,
     d_separated,
+    mutilate_summary,
     s_separated,
     trivial_summary,
 )
@@ -22,6 +23,7 @@ from oracles import (
     canonical_s_separated,
     d_separated_oracle,
     moral_d_separated,
+    mutilated_compatible_dags,
     nx_d_separated,
     strictly_compatible_dags,
 )
@@ -181,17 +183,44 @@ class TestSSeparation:
         # completeness: a CONNECTED query, grounded, is d-connected in some
         # DAG that contracts to exactly the quotient
         h = _random_summary(g, rng)
-        labels = sorted(h.quotient.nodes)
-        pending = set()
-        for x, y in combinations(labels, 2):
-            z = {c for c in labels if c not in (x, y) and rng.random() < 0.5}
-            if not s_separated(h, SeparationQuery({x}, {y}, z)):
-                pending.add(tuple(frozenset().union(*map(h.members, s)) for s in ({x}, {y}, z)))
-        for _, edges in strictly_compatible_dags(h):
-            if not pending:
-                break
-            pending = {q for q in pending if moral_d_separated(edges, *q)}
+        pending = _unwitnessed(_connected_answers(h, rng), strictly_compatible_dags(h))
         assert not pending, list(pending)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dags(min_nodes=2, max_nodes=5), st.randoms(use_true_random=False))
+    def test_every_connected_answer_of_a_mutilated_summary_has_a_witness(self, g, rng):
+        # completeness after mutilation: a CONNECTED query is d-connected in
+        # some strictly compatible DAG mutilated the same way; each cluster
+        # joins x or z with chance 1/4, so that about 40% of the mutilated
+        # summaries still answer CONNECTED somewhere
+        h = _random_summary(g, rng)
+        labels = sorted(h.quotient.nodes)
+        bar_x = [c for c in labels if rng.random() < 0.25]
+        under_z = [c for c in labels if rng.random() < 0.25]
+        connected = _connected_answers(mutilate_summary(h, bar_x, under_z), rng)
+        pending = _unwitnessed(connected, mutilated_compatible_dags(h, bar_x, under_z))
+        assert not pending, list(pending)
+
+
+def _connected_answers(h, rng):
+    """The CONNECTED answers of ``s_separated`` on one query per pair of
+    clusters (random z), grounded to member sets."""
+    labels = sorted(h.quotient.nodes)
+    connected = set()
+    for x, y in combinations(labels, 2):
+        z = {c for c in labels if c not in (x, y) and rng.random() < 0.5}
+        if not s_separated(h, SeparationQuery({x}, {y}, z)):
+            connected.add(tuple(frozenset().union(*map(h.members, s)) for s in ({x}, {y}, z)))
+    return connected
+
+
+def _unwitnessed(connected, graphs):
+    """The grounded queries in ``connected`` that no DAG of ``graphs`` d-connects."""
+    for _, edges in graphs:
+        if not connected:
+            break
+        connected = {q for q in connected if moral_d_separated(edges, *q)}
+    return connected
 
 
 @st.composite
