@@ -105,7 +105,10 @@ def brute_force_summarize(g, k):
     node, so every tied partition is still reached. Ties go to the
     lexicographically smallest partition signature (blocks as node tuples
     in topological order), so the result is deterministic and equals the
-    unpruned search. Only the winner is built as a summary. Exponential:
+    unpruned search. The winner always has exactly k blocks: splitting a
+    block's last member in base order off into its own block adds no
+    canonical edge, keeps the quotient acyclic and gives a smaller
+    signature. Only the winner is built as a summary. Exponential:
     guarded to 10 nodes.
 
     >>> g = Dag("ABCDE", [("A","B"), ("A","C"), ("B","D"), ("C","D"), ("D","E")])

@@ -26,8 +26,8 @@ tests as the reference. The summary is built once, at the end. Graphs of
 at most ``SMALL_GRAPH`` nodes price each valid pair as the scan reaches
 it, in Python loops over the bitsets, as the rescan does; larger ones
 keep the price memo in numpy, with one float64 matrix product per block
-of re-priced rows and one vectorized pass over the label-ordered grid
-per scan.
+of re-priced rows, unpacked from the same bitsets, and one vectorized
+pass over the label-ordered grid per scan.
 """
 
 import random
@@ -45,9 +45,9 @@ from .graph_core import (
 )
 from .summary import SummaryDag, cluster_labels
 
-#: the most nodes the greedy engine takes. Its peak RSS grew by 41-45
+#: the most nodes the greedy engine takes. Its peak RSS grew by 28-29
 #: bytes per n² (``summarize`` at n = 500-1500, density 2/n, k = n/5), so
-#: this limit sits near 1 GiB; the time grows about as n^3.3.
+#: this limit sits near 0.7 GiB; the time grows about as n^3.3.
 ENGINE_NODE_LIMIT = 5000
 
 #: the most nodes the greedy engine prices and scans in its loop form; a
@@ -135,6 +135,7 @@ class _Engine:
     Clusters are integer ids, starting as each node's ``base_order``
     position; a merge keeps the first id and retires the second. Bit y of
     a bitset stands for cluster y: ``kids[x]`` holds x's children and
+    ``parents[x]`` its parents, the one adjacency both forms keep, and
     ``reach[x]`` holds x and every cluster x reaches, filled first by one
     pass over the ids in reverse (children before parents). ``size``
     holds the member counts. ``order``, the live ids sorted by label, is
@@ -144,22 +145,22 @@ class _Engine:
 
     How pairs are priced and scanned depends on the graph's size alone. A
     graph of at most ``SMALL_GRAPH`` nodes runs the loop form, which
-    allocates no numpy array and keeps no prices: ``parents`` bitsets sit
-    beside ``kids``, ``far[x]`` is the bitset of clusters x reaches by a
-    path of at least two edges and ``clash[x]`` that of clusters with a
-    member pair below the similarity threshold (None without a
-    similarity), ``size`` is a list, and each scan prices every valid
-    pair it reaches by ``_merge_price`` on Python ints. A larger graph
-    runs the array form, whose numpy calls cost less than those loops
-    there: ``links[x]`` is x's 0/1 row of parents followed by its row of
-    children, ``far`` and ``clash`` are boolean matrices, ``memo`` holds
-    merge prices, the rows of ``stale`` clusters are due for re-pricing,
-    ``weight`` is the total neighbour size the last pricing set, and
-    ``size``, ``weight``, ``links`` and ``memo`` are float64, so pricing
-    runs as a BLAS product, exact because every price is a small
-    integer. Both forms price with the same formula and scan the same
-    valid pairs in the same label order with the same coin, so their
-    outputs are identical.
+    allocates no numpy array and keeps no prices: ``far[x]`` is the
+    bitset of clusters x reaches by a path of at least two edges and
+    ``clash[x]`` that of clusters with a member pair below the similarity
+    threshold (None without a similarity), ``size`` is a list, and each
+    scan prices every valid pair it reaches by ``_merge_price`` on Python
+    ints. A larger graph runs the array form, whose numpy calls cost less
+    than those loops there: ``far`` and ``clash`` are boolean matrices,
+    ``memo`` holds merge prices, the rows of ``stale`` clusters are due
+    for re-pricing, ``weight`` is the total neighbour size the last
+    pricing set, and ``size``, ``weight`` and ``memo`` are float64.
+    Pricing unpacks the re-priced rows' bitsets and those of the
+    clusters that share their neighbours into 0/1 blocks and runs a BLAS
+    product on them, exact because every price is a small integer. Both
+    forms price with the same formula and scan the same valid pairs in
+    the same label order with the same coin, so their outputs are
+    identical.
 
     A graph of more than ``ENGINE_NODE_LIMIT`` nodes raises SizeLimitError
     before anything is ordered or allocated.
@@ -167,7 +168,7 @@ class _Engine:
 
     def __init__(self, g, similarity=None):
         if g.num_nodes > ENGINE_NODE_LIMIT:
-            need = 42 * g.num_nodes**2 / 2**30  # bytes per n², from the fit above
+            need = 29 * g.num_nodes**2 / 2**30  # bytes per n², from the fit above
             raise SizeLimitError(
                 f"the greedy engine's dense matrices would need about {need:.1f} GiB; "
                 f"refusing {g.num_nodes} nodes (limit {ENGINE_NODE_LIMIT})"
@@ -192,13 +193,13 @@ class _Engine:
             rows = [index[v] for v in self.labels]
         self.plain = True  # every label is its one member
         self.order = sorted(range(n), key=self.labels.__getitem__)
+        self.parents = [0] * n
+        for x, heads in enumerate(children):
+            for w in heads:
+                self.parents[w] |= 1 << x
         self.dense = n > SMALL_GRAPH
         if not self.dense:
             self.size, self.far = [1] * n, far
-            self.parents = [0] * n
-            for x, heads in enumerate(children):
-                for w in heads:
-                    self.parents[w] |= 1 << x
             if similarity is not None:
                 values, threshold = similarity.values, similarity.threshold
                 self.clash = [
@@ -207,12 +208,8 @@ class _Engine:
                 ]
             return
         self.size = np.ones(n)
-        tails = [x for x, heads in enumerate(children) for _ in heads]
-        heads = [w for ws in children for w in ws]
-        self.links = np.zeros((n, 2 * n))
-        self.links[heads, tails] = self.links[tails, [n + w for w in heads]] = 1
         self.weight = np.empty(n)  # unread until _price sets the rows it prices
-        self.far = self._bits(far)
+        self.far = _bits(far, n)
         if similarity is not None:
             self.clash = similarity.values[np.ix_(rows, rows)] < similarity.threshold
         self.memo = np.zeros((n, n))
@@ -237,20 +234,27 @@ class _Engine:
         return self.memo
 
     def _price(self, rows):
-        """Price every pair involving a cluster in ``rows`` by ``_merge_price``,
-        after refreshing those rows' ``weight`` (array form). Every term is
-        an integer far below 2^53, so float64 arithmetic is exact."""
-        links, size, weight = self.links, self.size, self.weight
+        """Price every pair involving a cluster in ``rows`` by ``_merge_price``
+        (array form). Each row is unpacked into its role columns, its
+        parents then its children; a role's holders are the clusters that
+        share it, a parent's ``kids`` or a child's ``parents``. Every row's
+        ``weight`` is refreshed before the first chunk reads them all.
+        Every term is an integer far below 2^53, so float64 arithmetic is
+        exact."""
+        size, weight, kids, parents = self.size, self.weight, self.kids, self.parents
         n = len(size)
-        sizes = np.concatenate((size, size))  # the size of each column of links
+        sizes = np.concatenate((size, size))  # the size of each role column
         rows = np.fromiter(rows, dtype=np.intp, count=len(rows))
-        weight[rows] = links[rows] @ sizes
-        for start in range(0, len(rows), 32):  # keeps the temporaries small
-            chunk = rows[start : start + 32]
-            near = links[chunk]
-            roles = near.any(axis=0).nonzero()[0]
-            shared = (near[:, roles] * sizes[roles]) @ links[:, roles].T
-            linked = near[:, :n] + near[:, n:]
+        near = _bits([parents[x] | kids[x] << n for x in rows.tolist()], 2 * n)
+        starts = range(0, len(rows), 32)  # chunks keep the temporaries small
+        for start in starts:
+            weight[rows[start : start + 32]] = near[start : start + 32] @ sizes
+        for start in starts:
+            chunk, roles_of = rows[start : start + 32], near[start : start + 32]
+            roles = roles_of.any(axis=0).nonzero()[0]
+            holders = _bits([kids[r] if r < n else parents[r - n] for r in roles.tolist()], n)
+            shared = (roles_of[:, roles] * sizes[roles]) @ holders
+            linked = roles_of[:, :n] | roles_of[:, n:]
             prices = _merge_price(
                 size[chunk][:, None], size, weight[chunk][:, None], weight, shared, linked
             )
@@ -260,63 +264,44 @@ class _Engine:
     def merge(self, a, b):
         """Contract clusters ``a`` and ``b`` (a valid pair) into cluster ``a``."""
         either, not_b = 1 << a | 1 << b, ~(1 << b)
-        near = self._merge_links(a, b) if self.dense else self._merge_parents(a, b)
+        kids, parents = self.kids, self.parents
+        near = list(_ones((parents[a] | parents[b] | kids[a] | kids[b]) & ~either))
+        for x in near:
+            if parents[x] >> b & 1:
+                parents[x] = parents[x] & not_b | 1 << a
+            if kids[x] >> b & 1:
+                kids[x] = kids[x] & not_b | 1 << a
+        parents[a] = (parents[a] | parents[b]) & ~either
+        kids[a] = (kids[a] | kids[b]) & ~either
+        clash = self.clash
+        if clash is not None:
+            clash[a] |= clash[b]
+            if self.dense:
+                clash[:, a] = clash[a]
+            else:
+                for y in _ones(clash[a]):
+                    clash[y] |= 1 << a
+        if self.dense:
+            # the merge changes the price of exactly the pairs touching a, b
+            # or one of their neighbours
+            self.stale.update(near)
+            self.stale.add(a)
+            self.stale.discard(b)
         self.members[a] = sorted(self.members[a] + self.members[b], key=self.position.__getitem__)
         self.size[a] += self.size[b]
         del self.order[bisect_left(self.order, self.labels[b], key=self.labels.__getitem__)]
 
-        for x in near:
-            if self.kids[x] >> b & 1:
-                self.kids[x] = self.kids[x] & not_b | 1 << a
-        self.kids[a] = (self.kids[a] | self.kids[b]) & ~either
         row = (self.reach[a] | self.reach[b]) & not_b
         ancestors = [x for x in self.order if self.reach[x] & either]
         for x in ancestors:
             self.reach[x] = (self.reach[x] | row) & not_b
         rows = [self._far_row(x) for x in ancestors]
         if self.dense:
-            self.far[ancestors] = self._bits(rows)
+            self.far[ancestors] = _bits(rows, len(self.labels))
         else:
             for x, row in zip(ancestors, rows):
                 self.far[x] = row
         self._relabel(a)
-
-    def _merge_links(self, a, b):
-        """Fold b's ``links`` and ``clash`` rows and columns into a's and
-        mark the rows to re-price (array form); returns the merged
-        cluster's neighbours."""
-        links = self.links
-        n = len(links)
-        np.maximum(links[a], links[b], out=links[a])
-        near = (links[a, :n] + links[a, n:]).nonzero()[0].tolist()
-        sides = links.reshape(n, 2, n)
-        np.maximum(sides[:, :, a], sides[:, :, b], out=sides[:, :, a])
-        links[b] = sides[:, :, b] = sides[a, :, a] = 0
-        if self.clash is not None:
-            self.clash[a] |= self.clash[b]
-            self.clash[:, a] = self.clash[a]
-        # the merge changes the price of exactly the pairs touching a, b or
-        # one of their neighbours
-        self.stale.update(near)
-        self.stale.add(a)
-        self.stale.discard(b)
-        return near
-
-    def _merge_parents(self, a, b):
-        """Fold b's ``parents`` and ``clash`` bits into a's (loop form);
-        returns the merged cluster's neighbours."""
-        either, not_b = 1 << a | 1 << b, ~(1 << b)
-        parents = self.parents
-        near = list(_ones((parents[a] | parents[b] | self.kids[a] | self.kids[b]) & ~either))
-        for x in near:
-            if parents[x] >> b & 1:
-                parents[x] = parents[x] & not_b | 1 << a
-        parents[a] = (parents[a] | parents[b]) & ~either
-        if self.clash is not None:
-            self.clash[a] |= self.clash[b]
-            for y in _ones(self.clash[a]):
-                self.clash[y] |= 1 << a
-        return near
 
     def _relabel(self, a):
         """Label the live clusters as ``cluster_labels`` would, after a
@@ -344,14 +329,6 @@ class _Engine:
             self.labels[x] = label
         self.plain = all(self.labels[x] == "".join(self.members[x]) for x in live)
         self.order = sorted(live, key=key)
-
-    def _bits(self, rows):
-        """Bitsets unpacked into a boolean matrix, one column per id (array form)."""
-        n = len(self.labels)
-        width = (n + 7) // 8
-        packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows), np.uint8)
-        bits = np.unpackbits(packed.reshape(len(rows), width), axis=1, count=n, bitorder="little")
-        return bits.view(bool)
 
     def _grid(self):
         """The live ids in label order, and which cells of the id-by-id grid
@@ -444,6 +421,16 @@ def _ones(bits):
         low = bits & -bits
         yield low.bit_length() - 1
         bits ^= low
+
+
+def _bits(rows, count):
+    """Bitsets unpacked into a boolean matrix of ``count`` columns, one per
+    bit (array form)."""
+    width = (count + 7) // 8
+    # join lists a generator first; a list comprehension halves the cost
+    packed = np.frombuffer(b"".join([row.to_bytes(width, "little") for row in rows]), np.uint8)
+    bits = np.unpackbits(packed.reshape(len(rows), width), axis=1, count=count, bitorder="little")
+    return bits.view(bool)
 
 
 def _mass(bits, size):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -315,6 +316,31 @@ class TestEngine:
         assert not acyclic(a, d) and not acyclic(a, e)
         assert acyclic(a, b) and acyclic(d, e)
 
+    def test_every_chunk_reads_refreshed_weights(self):
+        # the first pricing spans three 32-row chunks, and each chunk prices
+        # its rows against every column, so every row's weight is set before
+        # the first chunk reads them; a later chunk's column write would
+        # hide an unset weight in the memo, so _merge_price checks its inputs
+        engine = _Engine(gen_random_dag(GenSpec(70, 4 / 70, 2)))
+        assert engine.dense
+        engine.weight[:] = np.inf
+        price, rng = cagres._merge_price, random.Random(0)
+
+        def checked(size_a, size_b, weight_a, weight_b, shared, linked):
+            assert np.isfinite(weight_a).all() and np.isfinite(weight_b).all()
+            return price(size_a, size_b, weight_a, weight_b, shared, linked)
+
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="raise"):
+            mp.setattr(cagres, "_merge_price", checked)
+            for _ in range(3):
+                memo, h = engine.prices(), engine.summary()
+                first, second = engine.valid_pairs()
+                for i in rng.sample(range(len(first)), 40):
+                    x, y = int(first[i]), int(second[i])
+                    cost = get_cost(h, engine.labels[x], engine.labels[y])
+                    assert memo[x, y] == memo[y, x] == cost
+                engine.merge(*engine.cheapest_pair(rng))
+
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(random_dags(max_nodes=20), hashed_dags()), st.randoms(use_true_random=False))
     def test_labels_follow_cluster_labels_after_every_merge(self, g, rng):
@@ -387,7 +413,7 @@ class TestSizeGuard:
         monkeypatch.setattr(cagres, "topological_order", never)
         n = cagres.ENGINE_NODE_LIMIT + 1
         message = (
-            rf"^the greedy engine's dense matrices would need about 1\.0 GiB; "
+            rf"^the greedy engine's dense matrices would need about 0\.7 GiB; "
             rf"refusing {n} nodes \(limit {n - 1}\)$"
         )
         with pytest.raises(SizeLimitError, match=message):
@@ -832,3 +858,19 @@ def test_engine_work_is_counted(seed):
         assert counts[name] <= 1.25 * pinned, name
     # zero-padded labels never collide, so every merge relabels on the short path
     assert counts["slow relabels"] == 0
+
+
+def test_engine_memory_is_counted():
+    # counted, not timed: the traced peak of a summarize call per n², at
+    # n = 300 (density 2/n, k = 60, so the array form). The price memo,
+    # the validity matrices and the scan's float64 grid copies read about
+    # 30 here; an n x 2n float64 adjacency beside the bitsets reads 44
+    n = 300
+    g = gen_random_dag(GenSpec(n, 2 / n, 1))
+    tracemalloc.start()
+    try:
+        summarize(g, CagresConfig(k=60))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n**2 < 34, peak / n**2
