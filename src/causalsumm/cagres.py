@@ -13,8 +13,9 @@ of them in place:
 
 - Reachability is kept as Python-int bitsets: a merge ORs the merged
   row into the rows of its ancestors, in the style of incremental
-  transitive closure (Italiano, TCS 1986). Validity is refreshed from
-  those bitsets only for the ancestors.
+  transitive closure (Italiano, TCS 1986). Validity, the clusters each
+  may not merge with by a path or a similarity clash, is one bitset per
+  cluster, refreshed only for the ancestors.
 - Above ``SMALL_GRAPH`` nodes merge prices are memoized per pair; a
   merge marks only its neighbourhood for re-pricing, the pattern of
   agglomerative clustering (Müllner, arXiv:1109.2378).
@@ -33,6 +34,7 @@ pass over the label-ordered grid per scan.
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -138,29 +140,31 @@ class _Engine:
     ``parents[x]`` its parents, the one adjacency both forms keep, and
     ``reach[x]`` holds x and every cluster x reaches, filled first by one
     pass over the ids in reverse (children before parents). ``size``
-    holds the member counts. ``order``, the live ids sorted by label, is
-    the one record of which clusters are live, so no scan reads a retired
-    id again. ``summary()`` builds the result from the members and
-    ``kids``.
+    holds the member counts. ``clash[x]`` holds the clusters with a member
+    pair below the similarity threshold (none without one), and row x of
+    ``far`` every cluster x may not merge with: those in ``clash[x]`` and
+    those x reaches by a path of at least two edges. A pair is valid when
+    neither row holds the other, so a merge gives its id to the clusters
+    it newly clashes with in ``clash`` alone. ``order``, the live ids
+    sorted by label, is the one record of which clusters are live, so no
+    scan reads a retired id again. ``summary()`` builds the result from
+    the members and ``kids``.
 
     How pairs are priced and scanned depends on the graph's size alone. A
     graph of at most ``SMALL_GRAPH`` nodes runs the loop form, which
-    allocates no numpy array and keeps no prices: ``far[x]`` is the
-    bitset of clusters x reaches by a path of at least two edges and
-    ``clash[x]`` that of clusters with a member pair below the similarity
-    threshold (None without a similarity), ``size`` is a list, and each
-    scan prices every valid pair it reaches by ``_merge_price`` on Python
-    ints. A larger graph runs the array form, whose numpy calls cost less
-    than those loops there: ``far`` and ``clash`` are boolean matrices,
-    ``memo`` holds merge prices, the rows of ``stale`` clusters are due
-    for re-pricing, ``weight`` is the total neighbour size the last
-    pricing set, and ``size``, ``weight`` and ``memo`` are float64.
-    Pricing unpacks the re-priced rows' bitsets and those of the
-    clusters that share their neighbours into 0/1 blocks and runs a BLAS
-    product on them, exact because every price is a small integer. Both
-    forms price with the same formula and scan the same valid pairs in
-    the same label order with the same coin, so their outputs are
-    identical.
+    allocates no numpy array and keeps no prices: ``far`` is a list of
+    bitsets, ``size`` is a list, and each scan prices every valid pair it
+    reaches by ``_merge_price`` on Python ints. A larger graph runs the
+    array form, whose numpy calls cost less than those loops there:
+    ``far`` is a boolean matrix, ``memo`` holds merge prices, the rows of
+    ``stale`` clusters are due for re-pricing, ``weight`` is the total
+    neighbour size the last pricing set, and ``size``, ``weight`` and
+    ``memo`` are float64. Pricing unpacks the re-priced rows' bitsets and
+    those of the clusters that share their neighbours into 0/1 blocks and
+    runs a BLAS product on them, exact because every price is a small
+    integer. Both forms price with the same formula and scan the same
+    valid pairs in the same label order with the same coin, so their
+    outputs are identical.
 
     A graph of more than ``ENGINE_NODE_LIMIT`` nodes raises SizeLimitError
     before anything is ordered or allocated.
@@ -186,11 +190,15 @@ class _Engine:
             for w in children[x]:
                 row |= self.reach[w]
             self.reach[x] = row
-        far = [self._far_row(x) for x in range(n)]
-        self.clash = None
+        self.clash = [0] * n
         if similarity is not None:
             index = _similarity_index(similarity, self.base_order)
-            rows = [index[v] for v in self.labels]
+            rows, bit = [index[v] for v in self.labels], [1 << y for y in range(n)]
+            values, threshold = similarity.values, similarity.threshold
+            for x, i in enumerate(rows):  # one row of values at a time keeps the peak low
+                below = map(threshold.__gt__, map(values[i].tolist().__getitem__, rows))
+                self.clash[x] = sum(compress(bit, below))
+        far = [self._far_row(x) for x in range(n)]
         self.plain = True  # every label is its one member
         self.order = sorted(range(n), key=self.labels.__getitem__)
         self.parents = [0] * n
@@ -200,28 +208,21 @@ class _Engine:
         self.dense = n > SMALL_GRAPH
         if not self.dense:
             self.size, self.far = [1] * n, far
-            if similarity is not None:
-                values, threshold = similarity.values, similarity.threshold
-                self.clash = [
-                    sum(1 << y for y, j in enumerate(rows) if values.item(i, j) < threshold)
-                    for i in rows
-                ]
             return
         self.size = np.ones(n)
         self.weight = np.empty(n)  # unread until _price sets the rows it prices
         self.far = _bits(far, n)
-        if similarity is not None:
-            self.clash = similarity.values[np.ix_(rows, rows)] < similarity.threshold
         self.memo = np.zeros((n, n))
         self.stale = set(range(n))
         self.lower = np.tri(n, dtype=bool)
 
     def _far_row(self, x):
-        """The clusters ``x`` reaches by a path of at least two edges, as a bitset."""
-        row, kids = 0, self.kids[x]
+        """The clusters ``x`` may not merge with, as a bitset: those in
+        ``clash[x]`` and those it reaches by a path of at least two edges."""
+        row, kids, reach = self.clash[x], self.kids[x], self.reach
         while kids:
             low = kids & -kids
-            row |= self.reach[low.bit_length() - 1] & ~low
+            row |= reach[low.bit_length() - 1] & ~low
             kids ^= low
         return row
 
@@ -274,13 +275,12 @@ class _Engine:
         parents[a] = (parents[a] | parents[b]) & ~either
         kids[a] = (kids[a] | kids[b]) & ~either
         clash = self.clash
-        if clash is not None:
-            clash[a] |= clash[b]
-            if self.dense:
-                clash[:, a] = clash[a]
-            else:
-                for y in _ones(clash[a]):
-                    clash[y] |= 1 << a
+        # a takes the clashes only b had, and those clusters take a; a's far
+        # row picks them up below, since a is an ancestor of the merge
+        gained = clash[b] & ~clash[a]
+        clash[a] |= gained
+        for y in _ones(gained):
+            clash[y] |= 1 << a
         if self.dense:
             # the merge changes the price of exactly the pairs touching a, b
             # or one of their neighbours
@@ -333,20 +333,18 @@ class _Engine:
     def _grid(self):
         """The live ids in label order, and which cells of the id-by-id grid
         in that order are *not* a valid pair: the lower triangle and the
-        pairs that would close a cycle or break the similarity (array form)."""
+        pairs ``far`` forbids (array form)."""
         ids = np.array(self.order)
         far = self.far.take(ids, 0).take(ids, 1)
         bad = far | far.T
         bad |= self.lower[: len(ids), : len(ids)]
-        if self.clash is not None:
-            bad |= self.clash.take(ids, 0).take(ids, 1)
         return ids, bad
 
     def _loop_pairs(self):
         """Every valid pair, in scan order, read off the bitsets (loop form)."""
-        far, clash, order = self.far, self.clash, self.order
+        far, order = self.far, self.order
         for i, x in enumerate(order):
-            bad = far[x] if clash is None else far[x] | clash[x]
+            bad = far[x]
             for y in order[i + 1 :]:
                 if not (bad >> y | far[y] >> x) & 1:
                     yield x, y

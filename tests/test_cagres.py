@@ -316,6 +316,23 @@ class TestEngine:
         assert not acyclic(a, d) and not acyclic(a, e)
         assert acyclic(a, b) and acyclic(d, e)
 
+    def test_a_clash_outlives_both_clusters_that_had_it(self):
+        # B and Z clash; once AB and WZ are merged, no live cluster is B or
+        # Z, so AB and WZ are kept apart only if merging AB gave Z A's id
+        g = Dag("ABWZ", [])
+        sim = full_similarity(g, {("B", "Z"): 0.0}, threshold=0.5)
+
+        def run():
+            engine = _Engine(g, sim)
+            a, b, w, z = (engine.position[v] for v in "ABWZ")
+            engine.merge(a, b)
+            engine.merge(w, z)
+            return engine
+
+        for engine in on_both_forms(run):
+            assert type(engine.clash) is list and {type(row) for row in engine.clash} == {int}
+            assert [len(ids) for ids in engine.valid_pairs()] == [0, 0]
+
     def test_every_chunk_reads_refreshed_weights(self):
         # the first pricing spans three 32-row chunks, and each chunk prices
         # its rows against every column, so every row's weight is set before
